@@ -13,12 +13,12 @@ import json
 import sys
 from math import gcd
 
-from . import oracle
 from .errors import DomainError, IntegrityError, ResourceError
 from .lens import THREE_SPHERE, LensSpace, SpecialCase, normalize
+from .numtheory import factor
 from .quadform import QuadForm
 from .solver import DEFAULT_PRIME_SHIFT_CAP, minimal_planar_boundaries
-from .witness import certificate_from_dict, certificate_to_dict, certificate_to_json, verify
+from .witness import TRACE_FIELDS, certificate_from_dict, certificate_to_json, verify
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -42,13 +42,7 @@ def _witness_line(w) -> str:
 
 
 def _trace_lines(trace) -> list[str]:
-    return [
-        f"  {name}: {getattr(trace, name)}"
-        for name in (
-            "branch", "k", "q_prime", "s_prime", "eps", "z", "z_inv",
-            "eps_prime", "D", "n_form", "z0", "C0", "w",
-        )
-    ]
+    return [f"  {name}: {getattr(trace, name)}" for name in TRACE_FIELDS]
 
 
 def cmd_analyze(args) -> int:
@@ -80,12 +74,14 @@ def cmd_table(args) -> int:
     if args.pmax < 2:
         raise DomainError(f"pmax must be >= 2, got {args.pmax}")
     for p in range(2, args.pmax + 1):
+        fact = factor(p, args.mr_rounds)
         count2 = count3 = 0
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            lens = LensSpace(p, q)
-            count, cert = minimal_planar_boundaries(lens, cap=args.cap, mr_rounds=args.mr_rounds)
+            count, cert = minimal_planar_boundaries(
+                LensSpace(p, q), cap=args.cap, mr_rounds=args.mr_rounds, fact=fact
+            )
             if count == 2:
                 count2 += 1
             else:
@@ -138,6 +134,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle  # the only user of numpy; kept off the start-up path
+
     if args.oracle_cmd == "qr":
         print("true" if oracle.brute_qr(args.a, args.m) else "false")
         return EXIT_OK

@@ -105,6 +105,8 @@ def is_prime(m: int, rounds: int | None = None) -> bool:
             return True
         if m % p == 0:
             return False
+    if m < 101 * 101:  # no prime factor up to 97, and 101 is the next prime
+        return True
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -312,11 +314,6 @@ def _roots_mod_2exp(a: int, exp: int) -> list[int]:
     return sorted({z % mod, (mod - z) % mod, (z + half) % mod, (half - z) % mod})
 
 
-def _crt_pair(v1: int, m1: int, v2: int, m2: int) -> int:
-    """x ≡ v1 (mod m1), x ≡ v2 (mod m2) for coprime m1, m2; x in [0, m1*m2)."""
-    return (v1 + (v2 - v1) * mod_inv(m1 % m2, m2) % m2 * m1) % (m1 * m2)
-
-
 def sqrt_mod(a: int, m: int, fact: Factorization) -> int | None:
     """Smallest nonnegative root of z*z ≡ a (mod m), or None.
 
@@ -343,10 +340,14 @@ def sqrt_mod(a: int, m: int, fact: Factorization) -> int | None:
         if not roots:
             return None
         root_sets.append((pe, roots))
-    combos: list[tuple[int, int]] = [(1, 0)]  # (modulus so far, residue)
-    for pe, roots in root_sets:
-        combos = [(mod * pe, _crt_pair(v, mod, rt, pe)) for mod, v in combos for rt in roots]
-    return min(v for _, v in combos)
+    # CRT over every combination, seeded with the first prime power's roots:
+    # each v in [0, mod) and rt in [0, pe) combine to a residue in [0, mod*pe).
+    (mod, combos), *rest = root_sets
+    for pe, roots in rest:
+        inv = mod_inv(mod % pe, pe)
+        combos = [v + (rt - v) * inv % pe * mod for v in combos for rt in roots]
+        mod *= pe
+    return min(combos)
 
 
 def cf_expansion(p: int, q: int) -> list[int]:

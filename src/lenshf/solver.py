@@ -12,51 +12,18 @@ is verified by exact determinant evaluation before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError, ResourceError
 from .lens import BezoutPair, LensSpace, bezout
-from .numtheory import factor, is_prime, jacobi, mod_inv, sqrt_mod, sqrt_mod_prime
+from .numtheory import Factorization, factor, is_prime, jacobi, mod_inv, sqrt_mod, sqrt_mod_prime
 from .quadform import construct_representing_form
-from .witness import Certificate, Witness, verify, with_trace
+from .witness import Certificate, ConstructionTrace, Witness, verify
 
 DEFAULT_PRIME_SHIFT_CAP = 100_000
 
 Q_BRANCH = "q-branch"
 R_BRANCH = "r-branch"
-
-
-@dataclass(frozen=True)
-class ConstructionTrace:
-    """Every intermediate of the n = 2 construction, for audit.
-
-    q_prime is the prime ≡ 3 (mod 4) found at shift k; s_prime is the
-    branch-adjusted Bezout coefficient with p*s_prime - q~*q_prime = 1
-    (q~ = r on the q-branch, q on the r-branch).  eps is the sign making
-    eps*p a residue mod q_prime, z its square root, z_inv = z^{-1}, and
-    eps_prime = -eps the sign the witness determinant comes out to.
-    D and n_form are the determinant and leading value of the constructed
-    form (D = eps_prime*s_prime and n_form = -eps_prime*q_prime on the
-    direct path), z0 the chosen congruence root, C0 the trailing form
-    coefficient, and w the scale of the representing vector a = (w, 0):
-    w = 1 on the direct path, w = r when a q-branch hit is transferred
-    across L(p, r) = L(p, q).
-    """
-
-    branch: str
-    k: int
-    q_prime: int
-    s_prime: int
-    eps: int
-    z: int
-    z_inv: int
-    eps_prime: int
-    D: int
-    n_form: int
-    z0: int
-    C0: int
-    w: int
 
 
 class PrimeShift(NamedTuple):
@@ -95,16 +62,21 @@ def find_prime_shift(
     )
 
 
-def solve_n2(lens: LensSpace, mr_rounds: int | None = None) -> tuple[Witness, int] | None:
+def solve_n2(
+    lens: LensSpace, mr_rounds: int | None = None, *, fact: Factorization | None = None
+) -> tuple[Witness, int] | None:
     """Witness with one boundary pair (n = 1), or None when impossible.
 
     Solves q*a^2 ≡ δ (mod p) for δ = +1 then -1, preferring the +1 branch
     and the smallest root a; t = (δ - q*a^2)/p is exact.  Returns the
-    witness and which sign δ its determinant equals.
+    witness and which sign δ its determinant equals.  fact is the
+    factorization of p, computed here when None; one of another number
+    raises DomainError.
     """
     p, q = lens.p, lens.q
     qinv = mod_inv(q, p)
-    fact = factor(p, mr_rounds)
+    if fact is None:
+        fact = factor(p, mr_rounds)
     for delta in (1, -1):
         a = sqrt_mod(delta * qinv % p, p, fact)
         if a is None:
@@ -198,17 +170,21 @@ def minimal_planar_boundaries(
     lens: LensSpace,
     cap: int = DEFAULT_PRIME_SHIFT_CAP,
     mr_rounds: int | None = None,
+    *,
+    fact: Factorization | None = None,
 ) -> tuple[int, Certificate]:
-    """The minimal boundary count (2 or 3) with a verified certificate."""
-    two = solve_n2(lens, mr_rounds)
+    """The minimal boundary count (2 or 3) with a verified certificate.
+
+    fact, the factorization of p, lets a caller deciding many spaces with
+    the same p factor it once; None factors here.  The certificate carries
+    the determinant solve_n2/solve_n3 already evaluated and checked.
+    """
+    two = solve_n2(lens, mr_rounds, fact=fact)
     if two is not None:
-        w, _ = two
-        return 2, verify(lens, w)
+        w, delta = two
+        return 2, Certificate(lens, w, delta, True)
     w, trace = solve_n3(lens, cap, mr_rounds)
-    cert = verify(lens, w)
-    if not cert.valid:
-        raise IntegrityError(f"unverified witness escaped solve_n3 for {lens}")
-    return 3, with_trace(cert, trace)
+    return 3, Certificate(lens, w, trace.eps_prime, True, trace)
 
 
 def hc_upper_bound_connected_sum(summands: list[LensSpace]) -> int | None:

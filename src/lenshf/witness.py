@@ -18,7 +18,7 @@ string so JSON consumers never round through 53-bit floats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .errors import DomainError
@@ -63,6 +63,43 @@ class Witness:
 
 
 @dataclass(frozen=True)
+class ConstructionTrace:
+    """Every intermediate of the n = 2 construction, for audit.
+
+    q_prime is the prime ≡ 3 (mod 4) found at shift k; s_prime is the
+    branch-adjusted Bezout coefficient with p*s_prime - q~*q_prime = 1
+    (q~ = r on the q-branch, q on the r-branch).  eps is the sign making
+    eps*p a residue mod q_prime, z its square root, z_inv = z^{-1}, and
+    eps_prime = -eps the sign the witness determinant comes out to.
+    D and n_form are the determinant and leading value of the constructed
+    form (D = eps_prime*s_prime and n_form = -eps_prime*q_prime on the
+    direct path), z0 the chosen congruence root, C0 the trailing form
+    coefficient, and w the scale of the representing vector a = (w, 0):
+    w = 1 on the direct path, w = r when a q-branch hit is transferred
+    across L(p, r) = L(p, q).
+    """
+
+    branch: str
+    k: int
+    q_prime: int
+    s_prime: int
+    eps: int
+    z: int
+    z_inv: int
+    eps_prime: int
+    D: int
+    n_form: int
+    z0: int
+    C0: int
+    w: int
+
+
+# Field names in declaration order: the order of the JSON trace object and of
+# `lenshf analyze --trace`.
+TRACE_FIELDS = tuple(f.name for f in fields(ConstructionTrace))
+
+
+@dataclass(frozen=True)
 class Certificate:
     """A witness together with its exactly evaluated determinant."""
 
@@ -70,7 +107,7 @@ class Certificate:
     witness: Witness
     det: int
     valid: bool
-    trace: Any = None  # ConstructionTrace for pipeline-built witnesses
+    trace: ConstructionTrace | None = None  # for pipeline-built witnesses
 
 
 def assemble_matrix(lens: LensSpace, w: Witness) -> list[list[int]]:
@@ -159,10 +196,7 @@ def pad(w: Witness) -> Witness:
 # {p, q, n, a: [..], t: [..], l: [[..]], det, valid, trace?} with every
 # integer a decimal string.  Parsing also tolerates raw JSON integers.
 
-_TRACE_INT_FIELDS = (
-    "k", "q_prime", "s_prime", "eps", "z", "z_inv", "eps_prime",
-    "D", "n_form", "z0", "C0", "w",
-)
+_TRACE_INT_FIELDS = tuple(name for name in TRACE_FIELDS if name != "branch")
 
 
 def _parse_int(value: Any) -> int:
@@ -193,10 +227,7 @@ def certificate_to_dict(cert: Certificate, include_trace: bool = True) -> dict:
         "valid": cert.valid,
     }
     if include_trace and cert.trace is not None:
-        tr = {"branch": cert.trace.branch}
-        for name in _TRACE_INT_FIELDS:
-            tr[name] = str(getattr(cert.trace, name))
-        d["trace"] = tr
+        d["trace"] = {name: str(getattr(cert.trace, name)) for name in TRACE_FIELDS}
     return d
 
 
@@ -206,8 +237,6 @@ def certificate_from_dict(data: dict) -> Certificate:
     Raises ValueError/KeyError/TypeError on malformed structure (parse
     failures) and DomainError on semantically invalid lens or witness data.
     """
-    from .solver import ConstructionTrace  # local import to avoid a cycle
-
     lens = LensSpace(_parse_int(data["p"]), _parse_int(data["q"]))
     n = _parse_int(data["n"])
     a = [_parse_int(v) for v in _parse_list(data["a"])]
@@ -241,7 +270,3 @@ def certificate_from_json(text: str) -> Certificate:
     if not isinstance(data, dict):
         raise ValueError("certificate JSON must be an object")
     return certificate_from_dict(data)
-
-
-def with_trace(cert: Certificate, trace) -> Certificate:
-    return replace(cert, trace=trace)

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from math import gcd
 
 import pytest
 
+import lenshf.cli
+import lenshf.solver
 from lenshf.cli import main
+from lenshf.lens import LensSpace
+from lenshf.solver import minimal_planar_boundaries
 from lenshf.witness import certificate_from_json
 
 
@@ -136,6 +144,47 @@ def test_table_jsonl(capsys):
 def test_table_rejects_small_pmax(capsys):
     code, _, err = run_cli(capsys, "table", "1")
     assert code == 2
+
+
+def _counting(monkeypatch, module, name, counter):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counter[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_table_factors_each_p_once_and_verifies_each_row_once(capsys, monkeypatch):
+    counter = {"factor": 0, "verify": 0}
+    for module in (lenshf.cli, lenshf.solver):
+        _counting(monkeypatch, module, "factor", counter)
+        _counting(monkeypatch, module, "verify", counter)
+    code, out, _ = run_cli(capsys, "table", "30")
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert len(rows) == sum(1 for p in range(2, 31) for q in range(1, p) if gcd(p, q) == 1)
+    assert counter == {"factor": 29, "verify": len(rows)}
+
+
+def test_table_rows_match_single_space_analysis(capsys):
+    _, out, _ = run_cli(capsys, "table", "60")
+    expected = []
+    for p in range(2, 61):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                count, cert = minimal_planar_boundaries(LensSpace(p, q))
+                expected.append(f"{p}\t{q}\t{count}\t{cert.det}")
+    assert out.splitlines() == expected
+
+
+def test_import_loads_no_numpy():
+    # numpy serves only `lenshf oracle`; every other command starts without it
+    src = os.path.dirname(os.path.dirname(lenshf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, lenshf.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 # --- verify ------------------------------------------------------------------

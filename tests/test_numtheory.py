@@ -152,10 +152,14 @@ def test_is_prime_small_values():
     assert is_prime(2 + 1 * 5)  # the shifted-progression hit used elsewhere
 
 
-def test_is_prime_agrees_with_sieve_below_2000():
-    primes = set(_primes_below(2000))
-    for m in range(2000):
+def test_is_prime_agrees_with_sieve_below_20000():
+    # spans the trial-division shortcut, which answers without Miller-Rabin
+    # below 101**2 = 10201
+    primes = set(_primes_below(20000))
+    for m in range(20000):
         assert is_prime(m) == (m in primes), m
+    assert not is_prime(10200) and not is_prime(10201) and not is_prime(101 * 103)
+    assert is_prime(10193) and is_prime(10211)
 
 
 def test_is_prime_on_large_known_values():

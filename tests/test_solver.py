@@ -8,13 +8,14 @@ and cross-checked against the exact determinant verifier before being pinned.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
 
 from lenshf.errors import DomainError, ResourceError
 from lenshf.lens import BezoutPair, LensSpace, bezout
-from lenshf.numtheory import jacobi
+from lenshf.numtheory import factor, jacobi
 from lenshf.oracle import brute_n2, brute_qr
 from lenshf.solver import (
     ConstructionTrace,
@@ -249,6 +250,27 @@ def test_minimal_count_matches_residue_scan():
 def test_count_two_certificates_have_no_trace():
     _, cert = minimal_planar_boundaries(LensSpace(7, 3))
     assert cert.trace is None
+
+
+def test_certificate_det_is_the_recomputed_determinant():
+    # the solvers' checked sign stands in for a second verify; it must be
+    # exactly what verify recomputes, with or without a supplied factorization
+    for p in range(2, 60):
+        fact = factor(p)
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            lens = LensSpace(p, q)
+            count, cert = minimal_planar_boundaries(lens)
+            assert cert == replace(verify(lens, cert.witness), trace=cert.trace), (p, q)
+            assert minimal_planar_boundaries(lens, fact=fact) == (count, cert), (p, q)
+
+
+def test_factorization_of_another_number_is_rejected():
+    with pytest.raises(DomainError):
+        minimal_planar_boundaries(LensSpace(15, 2), fact=factor(21))
+    with pytest.raises(DomainError):
+        solve_n2(LensSpace(7, 3), fact=factor(5))
 
 
 # --- hc_upper_bound_connected_sum --------------------------------------------

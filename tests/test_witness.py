@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,6 @@ from lenshf.witness import (
     det_exact,
     pad,
     verify,
-    with_trace,
 )
 
 
@@ -214,7 +214,7 @@ def _sample_cert(with_trace_data=False):
             branch="q-branch", k=1, q_prime=7, s_prime=3, eps=-1, z=3,
             z_inv=5, eps_prime=1, D=3, n_form=-7, z0=2, C0=-1, w=1,
         )
-        cert = with_trace(cert, trace)
+        cert = replace(cert, trace=trace)
     return cert
 
 
