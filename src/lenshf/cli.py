@@ -13,6 +13,7 @@ import json
 import sys
 from math import gcd
 
+from . import oracle
 from .errors import DomainError, IntegrityError, ResourceError
 from .lens import THREE_SPHERE, LensSpace, SpecialCase, normalize
 from .numtheory import factor
@@ -45,7 +46,13 @@ def _trace_lines(trace) -> list[str]:
     return [f"  {name}: {getattr(trace, name)}" for name in TRACE_FIELDS]
 
 
+def _check_mr_rounds(args) -> None:
+    if args.mr_rounds is not None and args.mr_rounds < 1:
+        raise DomainError(f"--mr-rounds must be >= 1, got {args.mr_rounds}")
+
+
 def cmd_analyze(args) -> int:
+    _check_mr_rounds(args)
     result = normalize(args.p, args.q)
     if isinstance(result, SpecialCase):
         if args.json:
@@ -71,6 +78,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_table(args) -> int:
+    _check_mr_rounds(args)
     if args.pmax < 2:
         raise DomainError(f"pmax must be >= 2, got {args.pmax}")
     for p in range(2, args.pmax + 1):
@@ -134,8 +142,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from . import oracle  # the only user of numpy; kept off the start-up path
-
     if args.oracle_cmd == "qr":
         print("true" if oracle.brute_qr(args.a, args.m) else "false")
         return EXIT_OK
@@ -173,19 +179,19 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("q", type=int)
     pa.add_argument("--json", action="store_true", help="emit the certificate as JSON")
     pa.add_argument("--trace", action="store_true", help="include the construction trace")
-    pa.add_argument("--cap", type=int, default=DEFAULT_PRIME_SHIFT_CAP,
-                    help="prime search cap per branch")
-    pa.add_argument("--mr-rounds", type=int, default=None,
-                    help="Miller-Rabin rounds above the deterministic range")
     pa.set_defaults(func=cmd_analyze)
 
     pt = sub.add_parser("table", help="sweep all L(p, q) with p up to pmax")
     pt.add_argument("pmax", type=int)
     pt.add_argument("--jsonl", action="store_true", help="JSON-lines rows instead of TSV")
     pt.add_argument("--summary", action="store_true", help="append per-p counts")
-    pt.add_argument("--cap", type=int, default=DEFAULT_PRIME_SHIFT_CAP)
-    pt.add_argument("--mr-rounds", type=int, default=None)
     pt.set_defaults(func=cmd_table)
+
+    for sp in (pa, pt):
+        sp.add_argument("--cap", type=int, default=DEFAULT_PRIME_SHIFT_CAP,
+                        help="prime search cap per branch")
+        sp.add_argument("--mr-rounds", type=int, default=None,
+                        help="Miller-Rabin rounds above the deterministic range (>= 1)")
 
     pv = sub.add_parser("verify", help="recheck a certificate JSON file")
     pv.add_argument("path")

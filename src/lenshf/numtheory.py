@@ -95,9 +95,12 @@ def is_prime(m: int, rounds: int | None = None) -> bool:
     """Miller-Rabin primality.
 
     Deterministic (13 fixed bases) below MR_DETERMINISTIC_BOUND; above it,
-    probabilistic with `rounds` random bases (default 64).  The base stream
-    for large inputs is seeded from the input, so results are reproducible.
+    probabilistic with `rounds` random bases (default 64; fewer than one
+    raises DomainError).  The base stream for large inputs is seeded from
+    the input, so results are reproducible.
     """
+    if rounds is not None and rounds < 1:
+        raise DomainError(f"Miller-Rabin rounds must be >= 1, got {rounds}")
     if m < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -181,7 +184,11 @@ def sqrt_mod_prime(a: int, prime: int) -> int | None:
 
 @dataclass(frozen=True)
 class Factorization:
-    """value = product of prime**exp over factors; factors strictly increasing."""
+    """value = product of prime**exp over factors; factors strictly increasing.
+
+    Construction checks all of this, primality included; only factor(),
+    which has just proved each prime, skips the checks.
+    """
 
     value: int
     factors: tuple[tuple[int, int], ...]
@@ -249,9 +256,10 @@ def factor(
 ) -> Factorization:
     """Full prime factorization of m >= 1.
 
-    Trial division up to trial_bound, then Pollard rho (Brent) with
-    Miller-Rabin certification of every remaining piece.  Exceeding the
-    configured effort cap raises ResourceError.
+    Trial division up to trial_bound, then Pollard rho (Brent).  Every
+    remaining piece is certified once, by is_prime(piece, rounds), and the
+    result is built without certifying it again.  Exceeding the configured
+    effort cap raises ResourceError.
     """
     if m < 1:
         raise DomainError(f"factor() needs m >= 1, got {m}")
@@ -279,7 +287,10 @@ def factor(
         g = _pollard_brent(n, budget)
         stack.append(g)
         stack.append(n // g)
-    return Factorization(m, tuple(sorted(counts.items())))
+    fact = object.__new__(Factorization)  # skips __post_init__: proved above
+    object.__setattr__(fact, "value", m)
+    object.__setattr__(fact, "factors", tuple(sorted(counts.items())))
+    return fact
 
 
 def _sqrt_mod_odd_prime_power(a: int, prime: int, exp: int) -> int | None:

@@ -5,24 +5,18 @@ brute_n3 scans a box exhaustively but solves the closed-form determinant
 
     p*(t1*t2 - l12^2) - q*(2*l12*a1*a2 - t2*a1^2 - t1*a2^2) = ±1
 
-linearly for t2, vectorizing each (l12, t1) plane with numpy when the
-worst-case magnitudes fit comfortably in int64 (an identical pure-Python
-path covers the rest).  Any hit is re-checked with exact Python integers
-before it is returned.
+linearly for t2 over each (l12, t1) plane, in exact Python integers.  Any
+hit is re-checked against the full determinant before it is returned.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-import numpy as np
-
 from .errors import DomainError, IntegrityError
 from .lens import LensSpace
 from .quadform import QuadForm
 from .witness import Witness
-
-_INT64_HEADROOM = 1 << 61
 
 
 def brute_qr(a: int, m: int) -> bool:
@@ -45,7 +39,8 @@ def brute_n2(lens: LensSpace, bound: int | None = None) -> tuple[int, int] | Non
     return None
 
 
-def _plane_python(p, q, a1, a2, box):
+def _plane(p, q, a1, a2, box):
+    """First (l12, t1, t2) in brute_n3's scan order for fixed (a1, a2), or None."""
     qa1 = q * a1 * a1
     qa2 = q * a2 * a2
     cross = 2 * q * a1 * a2
@@ -70,31 +65,6 @@ def _plane_python(p, q, a1, a2, box):
     return None
 
 
-def _plane_numpy(p, q, a1, a2, box):
-    ls = np.arange(-box, box + 1, dtype=np.int64)
-    ts = np.arange(-box, box + 1, dtype=np.int64)
-    lead = p * ts + q * a1 * a1  # per-t1 coefficient of t2
-    lcol = ls[:, None]
-    rest = -p * lcol * lcol - 2 * q * a1 * a2 * lcol + q * a2 * a2 * ts[None, :]
-    sentinel = np.int64(1 << 62)
-    safe_lead = np.where(lead != 0, lead, np.int64(1))[None, :]
-    nonzero = (lead != 0)[None, :]
-    best = np.full(rest.shape, sentinel)
-    for delta in (1, -1):
-        num = delta - rest
-        t2 = num // safe_lead
-        ok = nonzero & (num % safe_lead == 0) & (np.abs(t2) <= box)
-        best = np.where(ok, np.minimum(best, t2), best)
-    free = ~nonzero & (np.abs(rest) == 1)  # t2 unconstrained; first is -box
-    best = np.where(free & (best == sentinel), np.int64(-box), best)
-    hits = best != sentinel
-    if not hits.any():
-        return None
-    flat = int(np.argmax(hits))  # row-major: first (l12, t1) in scan order
-    li, ti = divmod(flat, hits.shape[1])
-    return int(ls[li]), int(ts[ti]), int(best[li, ti])
-
-
 def brute_n3(lens: LensSpace, box: int) -> Witness | None:
     """First n = 2 witness with all entries in [-box, box], or None.
 
@@ -105,11 +75,9 @@ def brute_n3(lens: LensSpace, box: int) -> Witness | None:
     if box < 0:
         raise DomainError(f"box must be nonnegative, got {box}")
     p, q = lens.p, lens.q
-    peak = 2 * p * box * box + 4 * q * box ** 3 + 2
-    plane = _plane_numpy if peak < _INT64_HEADROOM else _plane_python
     for a1 in range(box + 1):
         for a2 in range(0 if a1 == 0 else -box, box + 1):
-            hit = plane(p, q, a1, a2, box)
+            hit = _plane(p, q, a1, a2, box)
             if hit is None:
                 continue
             l12, t1, t2 = hit

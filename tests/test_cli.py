@@ -168,6 +168,20 @@ def test_table_factors_each_p_once_and_verifies_each_row_once(capsys, monkeypatc
     assert counter == {"factor": 29, "verify": len(rows)}
 
 
+def test_mr_rounds_below_one_exit_2_before_any_work(capsys, monkeypatch):
+    counter = {"factor": 0, "minimal_planar_boundaries": 0}
+    _counting(monkeypatch, lenshf.cli, "factor", counter)
+    _counting(monkeypatch, lenshf.cli, "minimal_planar_boundaries", counter)
+    big = "1000000000000000000000000000057"  # prime; L(big, 5) needs 3 boundaries
+    for argv in (("analyze", big, "5"), ("analyze", "4", "1"), ("table", "10")):
+        for rounds in ("0", "-1"):
+            code, out, err = run_cli(capsys, *argv, f"--mr-rounds={rounds}")
+            assert code == 2 and out == "" and "--mr-rounds must be >= 1" in err, argv
+    assert counter == {"factor": 0, "minimal_planar_boundaries": 0}
+    code, out, _ = run_cli(capsys, "analyze", big, "5", "--mr-rounds=1")
+    assert code == 0 and "3 boundary components" in out
+
+
 def test_table_rows_match_single_space_analysis(capsys):
     _, out, _ = run_cli(capsys, "table", "60")
     expected = []
@@ -180,10 +194,13 @@ def test_table_rows_match_single_space_analysis(capsys):
 
 
 def test_import_loads_no_numpy():
-    # numpy serves only `lenshf oracle`; every other command starts without it
+    # the package has no runtime dependency; numpy serves the test suite alone
     src = os.path.dirname(os.path.dirname(lenshf.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, lenshf.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
+    code = (
+        "import sys, lenshf, lenshf.cli, lenshf.oracle; "
+        "assert 'numpy' not in sys.modules, 'numpy imported'"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 

@@ -11,6 +11,7 @@ from math import gcd
 
 import pytest
 
+from lenshf import numtheory
 from lenshf.errors import DomainError, IntegrityError, NotInvertibleError, ResourceError
 from lenshf.numtheory import (
     Factorization,
@@ -221,7 +222,26 @@ def test_sqrt_mod_prime_detects_composite_modulus():
         sqrt_mod_prime(2, 15)
 
 
+def test_is_prime_rejects_fewer_than_one_round():
+    for rounds in (0, -1):
+        for m in (7, 2**89 - 1, 2**87 - 1):
+            with pytest.raises(DomainError):
+                is_prime(m, rounds)
+
+
 # --- factor ------------------------------------------------------------------
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    original = getattr(numtheory, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(numtheory, name, wrapper)
+    return calls
+
 
 def test_factor_known_values():
     assert factor(12).factors == ((2, 2), (3, 1))
@@ -246,6 +266,24 @@ def test_factor_beyond_trial_division():
     p1, p2 = 1_000_003, 1_000_033
     f = factor(p1 * p2)
     assert f.factors == ((p1, 1), (p2, 1))
+
+
+def test_factor_certifies_each_prime_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "is_prime")
+    m = 2**521 - 1  # Mersenne prime
+    assert factor(m).factors == ((m, 1),)
+    assert calls[0] == 1
+
+
+def test_factor_runs_exactly_the_requested_rounds(monkeypatch):
+    calls = _count_calls(monkeypatch, "_mr_witness")
+    m = 2**127 - 1  # Mersenne prime above MR_DETERMINISTIC_BOUND
+    for rounds in (1, 5):
+        calls[0] = 0
+        assert factor(m, rounds).factors == ((m, 1),)
+        assert calls[0] == rounds
+    with pytest.raises(DomainError):
+        factor(m, 0)
 
 
 def test_factor_effort_cap():

@@ -14,8 +14,6 @@ import pytest
 from lenshf.errors import DomainError
 from lenshf.lens import LensSpace
 from lenshf.oracle import (
-    _plane_numpy,
-    _plane_python,
     brute_form_represents,
     brute_n2,
     brute_n3,
@@ -97,19 +95,6 @@ def test_brute_n3_witnesses_verify():
         w = brute_n3(LensSpace(p, q), 6)
         if w is not None:
             assert verify(LensSpace(p, q), w).valid
-
-
-def test_plane_scan_numpy_matches_python():
-    rng = random.Random(62)
-    for _ in range(200):
-        p = rng.randint(2, 60)
-        q = rng.randint(1, p - 1)
-        a1 = rng.randint(0, 6)
-        a2 = rng.randint(-6, 6)
-        box = rng.randint(0, 8)
-        got_np = _plane_numpy(p, q, a1, a2, box)
-        got_py = _plane_python(p, q, a1, a2, box)
-        assert got_np == got_py, (p, q, a1, a2, box)
 
 
 def test_brute_form_represents_known_values():
