@@ -52,8 +52,10 @@ def solvable_congruence(n: int, D: int) -> int | None:
     """Smallest-magnitude z0 in (-|n|/2, |n|/2] with -z0^2 ≡ D (mod |n|),
     or None when the congruence has no solution.  Ties go to positive z0.
 
-    Solved via sqrt_mod when gcd(-D, |n|) = 1; otherwise by exhaustive scan
-    of [0, |n|) (intended for desk-scale moduli).
+    Solved via sqrt_mod when gcd(-D, |n|) = 1, inheriting its ResourceError
+    above SQRT_MOD_MAX_COMBINATIONS; otherwise by an O(|n|) scan of [0, |n|),
+    for desk-scale moduli only.  The solver never calls it (its root comes
+    from sqrt_mod_prime modulo the prime q').
     """
     if n == 0:
         raise DomainError("modulus source n must be nonzero")

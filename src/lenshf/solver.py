@@ -62,16 +62,26 @@ def find_prime_shift(
     )
 
 
+def _certified(
+    lens: LensSpace, w: Witness, want: int, trace: ConstructionTrace | None = None
+) -> Certificate:
+    """The certificate of w with trace attached; IntegrityError unless its
+    exactly evaluated determinant is the sign want the construction aimed at."""
+    cert = verify(lens, w)
+    if cert.det != want:
+        raise IntegrityError(f"witness for {lens} has det {cert.det}, wanted {want}; trace: {trace}")
+    return cert if trace is None else Certificate(lens, w, want, True, trace)
+
+
 def solve_n2(
     lens: LensSpace, mr_rounds: int | None = None, *, fact: Factorization | None = None
-) -> tuple[Witness, int] | None:
-    """Witness with one boundary pair (n = 1), or None when impossible.
+) -> Certificate | None:
+    """Certificate with one boundary pair (n = 1), or None when impossible.
 
     Solves q*a^2 ≡ δ (mod p) for δ = +1 then -1, preferring the +1 branch
-    and the smallest root a; t = (δ - q*a^2)/p is exact.  Returns the
-    witness and which sign δ its determinant equals.  fact is the
-    factorization of p, computed here when None; one of another number
-    raises DomainError.
+    and the smallest root a; t = (δ - q*a^2)/p is exact.  The certificate's
+    det is the sign δ.  fact is the factorization of p, computed here when
+    None; one of another number raises DomainError.
     """
     p, q = lens.p, lens.q
     qinv = mod_inv(q, p)
@@ -79,41 +89,18 @@ def solve_n2(
         fact = factor(p, mr_rounds)
     for delta in (1, -1):
         a = sqrt_mod(delta * qinv % p, p, fact)
-        if a is None:
-            continue
-        t = (delta - q * a * a) // p
-        w = Witness.single(a, t)
-        cert = verify(lens, w)
-        if cert.det != delta:
-            raise IntegrityError(f"n=1 witness for {lens} has det {cert.det}, wanted {delta}")
-        return w, delta
+        if a is not None:
+            return _certified(lens, Witness.single(a, (delta - q * a * a) // p), delta)
     return None
-
-
-def _transfer_shift(p: int, q: int, r: int, q_prime: int, s_prime: int) -> int:
-    """The shift m with r + m*p = -q_prime * r^2, used to carry a q-branch
-    prime over to the input presentation.  Exists because q_prime ≡ q and
-    q*r ≡ -1 (mod p) make -q_prime*r^2 ≡ r (mod p)."""
-    m0 = (-r * s_prime) % q_prime
-    num = r + m0 * p
-    if num % q_prime != 0:
-        raise IntegrityError(f"transfer shift failed: {q_prime} does not divide {num}")
-    e0 = num // q_prime
-    if (-r * r - e0) % p != 0:
-        raise IntegrityError("transfer shift failed: square adjustment not integral")
-    m = m0 + ((-r * r - e0) // p) * q_prime
-    if r + m * p != -q_prime * r * r:
-        raise IntegrityError("transfer shift failed: final identity check")
-    return m
 
 
 def solve_n3(
     lens: LensSpace,
     cap: int = DEFAULT_PRIME_SHIFT_CAP,
     mr_rounds: int | None = None,
-) -> tuple[Witness, ConstructionTrace]:
-    """Constructive witness with two boundary pairs (n = 2); always succeeds
-    given enough prime-search cap.
+) -> Certificate:
+    """Certificate with two boundary pairs (n = 2) and its construction
+    trace; always succeeds given enough prime-search cap.
 
     Pipeline: Bezout pair; prime shift q' ≡ 3 (mod 4); the sign eps with
     jacobi(eps*p, q') = +1 (exactly one works since q' ≡ 3 mod 4);
@@ -122,9 +109,11 @@ def solve_n3(
     (n_form, z0, C0) fills the witness a = (w, 0), t = [C0, n_form],
     l12 = -z0.  An r-branch prime certifies the input directly (w = 1);
     a q-branch prime certifies L(p, r) with r = -q^{-1} mod p, so it is
-    transferred by re-picking the shift m with r + m*p = -q'*r^2 and
-    scaling the vector to w = r.  The emitted witness always verifies with
-    determinant exactly eps'.
+    transferred across L(p, r) = L(p, q) by the shift m with
+    r + m*p = -q'*r^2, scaling the vector to w = r.  That shift is the
+    exact quotient m = -r*(q'*r + 1)/p = -r*s', because q' = q + k*p and
+    q*r + 1 = p*s give q'*r + 1 = p*s'.  The returned certificate's det
+    is exactly eps'.
     """
     p, q = lens.p, lens.q
     pair = bezout(lens)
@@ -143,7 +132,7 @@ def solve_n3(
     z0 = min(z_inv, qp - z_inv)  # smallest-magnitude representative of ±z'
     if shift.branch == Q_BRANCH and r != q:
         w_scale = r
-        m = _transfer_shift(p, q, r, qp, shift.s_prime)
+        m = -r * shift.s_prime
         D = eps_prime * (s + m * q)
         n_form = eps_prime * qp
     else:
@@ -151,19 +140,12 @@ def solve_n3(
         D = eps_prime * shift.s_prime
         n_form = -eps_prime * qp
     f0 = construct_representing_form(n_form, D, z0)
-    witness = Witness.pair(w_scale, 0, f0.C, n_form, -z0)
     trace = ConstructionTrace(
         branch=shift.branch, k=shift.k, q_prime=qp, s_prime=shift.s_prime,
         eps=eps, z=z, z_inv=z_inv, eps_prime=eps_prime,
         D=D, n_form=n_form, z0=z0, C0=f0.C, w=w_scale,
     )
-    cert = verify(lens, witness)
-    if cert.det != eps_prime:
-        raise IntegrityError(
-            f"constructed witness for {lens} has det {cert.det}, wanted {eps_prime}; "
-            f"trace: {trace}"
-        )
-    return witness, trace
+    return _certified(lens, Witness.pair(w_scale, 0, f0.C, n_form, -z0), eps_prime, trace)
 
 
 def minimal_planar_boundaries(
@@ -176,21 +158,20 @@ def minimal_planar_boundaries(
     """The minimal boundary count (2 or 3) with a verified certificate.
 
     fact, the factorization of p, lets a caller deciding many spaces with
-    the same p factor it once; None factors here.  The certificate carries
-    the determinant solve_n2/solve_n3 already evaluated and checked.
+    the same p factor it once; None factors here.  The certificate is the
+    one solve_n2/solve_n3 verified.
     """
     two = solve_n2(lens, mr_rounds, fact=fact)
     if two is not None:
-        w, delta = two
-        return 2, Certificate(lens, w, delta, True)
-    w, trace = solve_n3(lens, cap, mr_rounds)
-    return 3, Certificate(lens, w, trace.eps_prime, True, trace)
+        return 2, two
+    return 3, solve_n3(lens, cap, mr_rounds)
 
 
 def hc_upper_bound_connected_sum(summands: list[LensSpace]) -> int | None:
     """Handle-count upper bound patterns for connected sums of 1 to 3 lens
     spaces: both of two summands with q a residue mod p gives 1; at least
-    two of three gives 2; anything else is unknown (None)."""
+    two of three gives 2; anything else is unknown (None).  The residue test
+    is sqrt_mod, whose ResourceError above SQRT_MOD_MAX_COMBINATIONS it keeps."""
     if not 1 <= len(summands) <= 3:
         raise DomainError(f"connected sums of 1..3 summands only, got {len(summands)}")
     flags = [

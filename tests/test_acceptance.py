@@ -53,7 +53,7 @@ def test_criterion_02_count3_construction_total_under_30s():
     failures = []
     for p, q in _coprime_pairs(200):
         lens = LensSpace(p, q)
-        w, _ = solve_n3(lens)
+        w = solve_n3(lens).witness
         if abs(verify(lens, w).det) != 1:
             failures.append((p, q))
     elapsed = time.perf_counter() - start
@@ -92,7 +92,8 @@ def test_criterion_03_certificates_sound_and_realizable_by_scan():
 
 def test_criterion_04_worked_instance_L52():
     lens = LensSpace(5, 2)
-    w, trace = solve_n3(lens)
+    got = solve_n3(lens)
+    w, trace = got.witness, got.trace
     cert = verify(lens, w)
     ok = (
         cert.det == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -139,6 +140,15 @@ def test_table_jsonl(capsys):
     summaries = [o["summary"] for o in objs if "summary" in o]
     assert {"p": "5", "q": "2", "boundaries": "3", "det": "1"} in rows
     assert {"p": "5", "count2": "2", "count3": "2"} in summaries
+
+
+def test_table_200_golden_digest(capsys):
+    # perfbench/data/golden.json sweep "200", from the seed commit
+    code, out, _ = run_cli(capsys, "table", "200")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "69e98fb13d27837d54fe73cc1196801d22ee9293f1c7673309bc7dd9f90f0f0c"
+    )
 
 
 def test_table_rejects_small_pmax(capsys):

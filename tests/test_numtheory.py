@@ -7,7 +7,8 @@ moduli, on seeded samples further out.
 from __future__ import annotations
 
 import random
-from math import gcd
+import time
+from math import gcd, prod
 
 import pytest
 
@@ -371,6 +372,18 @@ def test_sqrt_mod_prime_power_lifting():
             assert (z is not None) == (a in squares), (a, m)
             if z is not None:
                 assert z * z % m == a
+
+
+def test_sqrt_mod_caps_its_root_combinations():
+    odd = _primes_below(100)[1:]
+    m = prod(odd[:19])  # 2^19 root combinations, above the 2^18 cap
+    fact = factor(m)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="524288 root combinations.*262144"):
+        sqrt_mod(4, m, fact)
+    assert time.perf_counter() - start < 1.0
+    m = prod(odd[:16])
+    assert sqrt_mod(4, m, factor(m)) == 2
 
 
 # --- cf_expansion ------------------------------------------------------------

@@ -7,13 +7,15 @@ and cross-checked against the exact determinant verifier before being pinned.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
 from math import gcd
 
 import pytest
 
-from lenshf.errors import DomainError, ResourceError
+import lenshf.solver
+from lenshf.errors import DomainError, IntegrityError, ResourceError
 from lenshf.lens import BezoutPair, LensSpace, bezout
 from lenshf.numtheory import factor, jacobi
 from lenshf.oracle import brute_n2, brute_qr
@@ -26,28 +28,28 @@ from lenshf.solver import (
     solve_n2,
     solve_n3,
 )
-from lenshf.witness import Witness, verify
+from lenshf.witness import Witness, certificate_to_json, verify
 
 
 # --- solve_n2 ----------------------------------------------------------------
 
 def test_solve_n2_known_values():
-    w, delta = solve_n2(LensSpace(2, 1))
-    assert (w.a, w.t, delta) == ([1], [0], 1)
+    cert = solve_n2(LensSpace(2, 1))
+    assert (cert.witness.a, cert.witness.t, cert.det) == ([1], [0], 1)
 
-    w, delta = solve_n2(LensSpace(7, 3))
-    assert (w.a, w.t, delta) == ([3], [-4], -1)  # -3 ≡ 4 = 2² (mod 7)
+    cert = solve_n2(LensSpace(7, 3))
+    assert (cert.witness.a, cert.witness.t, cert.det) == ([3], [-4], -1)  # -3 ≡ 4 = 2² (mod 7)
 
     assert solve_n2(LensSpace(5, 2)) is None  # squares mod 5 are {1, 4}
 
 
 def test_solve_n2_prefers_plus_one_and_smallest_root():
     # q = 1: both signs work for p ≡ 1 (mod 4); the +1 branch must win with a = 1
-    w, delta = solve_n2(LensSpace(13, 1))
-    assert delta == 1 and w.a == [1] and w.t == [0]
+    cert = solve_n2(LensSpace(13, 1))
+    assert cert.det == 1 and cert.witness.a == [1] and cert.witness.t == [0]
     # L(5,4): 4a² ≡ 1 (mod 5) at a ∈ {2, 3}; smallest root wins, t = (1-16)/5
-    w, delta = solve_n2(LensSpace(5, 4))
-    assert delta == 1 and w.a == [2] and w.t == [-3]
+    cert = solve_n2(LensSpace(5, 4))
+    assert cert.det == 1 and cert.witness.a == [2] and cert.witness.t == [-3]
 
 
 def test_solve_n2_agrees_with_scan():
@@ -59,14 +61,13 @@ def test_solve_n2_agrees_with_scan():
             slow = brute_n2(LensSpace(p, q))
             assert (fast is None) == (slow is None), (p, q)
             if fast is not None:
-                w, delta = fast
-                assert verify(LensSpace(p, q), w).det == delta
+                assert verify(LensSpace(p, q), fast.witness).det == fast.det
 
 
 def test_solve_n2_trivial_q1():
     for p in range(2, 40):
-        w, delta = solve_n2(LensSpace(p, 1))
-        assert delta == 1 and w.a == [1] and w.t == [0]
+        cert = solve_n2(LensSpace(p, 1))
+        assert cert.det == 1 and cert.witness.a == [1] and cert.witness.t == [0]
 
 
 # --- find_prime_shift --------------------------------------------------------
@@ -110,7 +111,8 @@ def test_find_prime_shift_cap_exhaustion():
 # --- solve_n3 ----------------------------------------------------------------
 
 def _check(lens, expect_witness, expect_trace):
-    w, trace = solve_n3(lens)
+    got = solve_n3(lens)
+    w, trace = got.witness, got.trace
     assert w == expect_witness
     assert trace == expect_trace
     cert = verify(lens, w)
@@ -163,7 +165,8 @@ def test_solve_n3_L83_transfer_branch():
 
 
 def test_solve_n3_L92_transfer_branch():
-    w, trace = solve_n3(LensSpace(9, 2))
+    got = solve_n3(LensSpace(9, 2))
+    w, trace = got.witness, got.trace
     assert w == Witness.pair(4, 0, -5, -11, -4)
     assert (trace.branch, trace.k, trace.q_prime) == ("q-branch", 1, 11)
     assert verify(LensSpace(9, 2), w).det == -1
@@ -171,14 +174,16 @@ def test_solve_n3_L92_transfer_branch():
 
 def test_solve_n3_r_branch_cases():
     # L(4,1): r-branch at k=0 (r = 3 is already prime ≡ 3 mod 4)
-    w, trace = solve_n3(LensSpace(4, 1))
+    got = solve_n3(LensSpace(4, 1))
+    w, trace = got.witness, got.trace
     assert trace.branch == "r-branch" and trace.k == 0 and trace.q_prime == 3
     assert w == Witness.pair(1, 0, 0, 3, -1)
     assert verify(LensSpace(4, 1), w).det == -1
 
     # L(3,2): q-branch 2+3k never hits ≡ 3 (mod 4) before r-branch 1+3k
     # reaches 7 at k = 2
-    w, trace = solve_n3(LensSpace(3, 2))
+    got = solve_n3(LensSpace(3, 2))
+    w, trace = got.witness, got.trace
     assert trace.branch == "r-branch" and trace.k == 2 and trace.q_prime == 7
     assert w == Witness.pair(1, 0, -2, -7, -3)
     assert verify(LensSpace(3, 2), w).det == 1
@@ -190,7 +195,8 @@ def test_solve_n3_succeeds_everywhere_small():
             if gcd(p, q) != 1:
                 continue
             lens = LensSpace(p, q)
-            w, trace = solve_n3(lens)
+            got = solve_n3(lens)
+            w, trace = got.witness, got.trace
             cert = verify(lens, w)
             assert cert.valid and cert.det == trace.eps_prime, (p, q)
 
@@ -202,7 +208,7 @@ def test_solve_n3_eps_is_the_unique_residue_sign():
         q = rng.randint(1, p - 1)
         if gcd(p, q) != 1:
             continue
-        _, trace = solve_n3(LensSpace(p, q))
+        trace = solve_n3(LensSpace(p, q)).trace
         jp = jacobi(p, trace.q_prime)
         jm = jacobi(-p, trace.q_prime)
         assert jp * jm == -1  # q' ≡ 3 (mod 4) forces opposite signs
@@ -264,6 +270,80 @@ def test_certificate_det_is_the_recomputed_determinant():
             count, cert = minimal_planar_boundaries(lens)
             assert cert == replace(verify(lens, cert.witness), trace=cert.trace), (p, q)
             assert minimal_planar_boundaries(lens, fact=fact) == (count, cert), (p, q)
+
+
+def test_solvers_reject_a_witness_of_the_wrong_sign(monkeypatch):
+    def flipped(lens, w):
+        cert = verify(lens, w)
+        return replace(cert, det=-cert.det)
+
+    monkeypatch.setattr(lenshf.solver, "verify", flipped)
+    with pytest.raises(IntegrityError, match="wanted -1"):
+        solve_n2(LensSpace(7, 3))
+    with pytest.raises(IntegrityError, match="wanted 1"):
+        solve_n3(LensSpace(5, 2))
+
+
+def test_minimal_count_returns_the_solvers_own_certificate(monkeypatch):
+    returned = []
+    for name in ("solve_n2", "solve_n3"):
+        original = getattr(lenshf.solver, name)
+
+        def wrapper(*args, _original=original, **kwargs):
+            returned.append(_original(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(lenshf.solver, name, wrapper)
+    count, cert = minimal_planar_boundaries(LensSpace(7, 3))
+    assert count == 2 and cert is returned[-1] and cert.trace is None
+    count, cert = minimal_planar_boundaries(LensSpace(5, 2))
+    assert count == 3 and cert is returned[-1] and cert.trace is not None
+    assert returned[-2] is None  # solve_n2 found no n = 1 witness for L(5,2)
+
+
+# sha256 of certificate_to_json(cert, include_trace=True), generated at the
+# commit before solve_n2/solve_n3 returned certificates and the q-branch
+# transfer shift became a closed form: these pin every trace field.
+_GOLDEN_CERTIFICATES = [
+    pytest.param(  # 128-bit prime, q-branch at k = 0, transferred (w = r)
+        170141183460469231731687303715884118201, 11, 3, "q-branch", True,
+        "8fd763c9fde734c3bbec43afc94bfb9b42b4e5cb2b6ff77a5efe453ada3f6734",
+        id="q-branch-128",
+    ),
+    pytest.param(  # 512-bit prime, q-branch at k = 321, transferred (w = r)
+        int(
+            "67039039649712985497870124991029230637396829102961966888617807218608820150"
+            "36773488400937149083451713845015929093243025426876941405973284973216824503054581"
+        ),
+        2, 3, "q-branch", True,
+        "8a18127ccf79c5f35fed68a3ae567a0a75b7cfeaeebcb22d6c5e3c55daa2e827",
+        id="q-branch-512",
+    ),
+    pytest.param(  # 256-bit prime, r-branch at k = 133 (w = 1)
+        57896044618658097711785492504343953926634992332820282019728792003956564832381,
+        6, 3, "r-branch", False,
+        "2955841deae350a7e3862499210c7874731f2979fedf5b440ae64a04897f6ba7",
+        id="r-branch-256",
+    ),
+    pytest.param(  # 3*5*...*29*(2^61 - 1): ten odd primes, q = -x^2 mod p, det -1
+        7459048453076331689038325865, 7458048453076253689038324344, 2, None, False,
+        "39b446de42031c6eb53e0a04cfd76cc861c0d559e4856a8ec7c105b05a26cccb",
+        id="count2-composite",
+    ),
+]
+
+
+@pytest.mark.parametrize("p, q, count, branch, transferred, digest", _GOLDEN_CERTIFICATES)
+def test_certificate_json_is_golden(p, q, count, branch, transferred, digest):
+    got, cert = minimal_planar_boundaries(LensSpace(p, q))
+    assert got == count
+    if branch is None:
+        assert cert.trace is None
+    else:
+        assert cert.trace.branch == branch
+        assert (cert.trace.w != 1) == transferred
+    text = certificate_to_json(cert, include_trace=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_factorization_of_another_number_is_rejected():
