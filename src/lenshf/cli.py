@@ -19,7 +19,7 @@ from .lens import THREE_SPHERE, LensSpace, SpecialCase, normalize
 from .numtheory import factor
 from .quadform import QuadForm
 from .solver import DEFAULT_PRIME_SHIFT_CAP, minimal_planar_boundaries
-from .witness import TRACE_FIELDS, certificate_from_dict, certificate_to_json, verify
+from .witness import TRACE_FIELDS, certificate_from_json, certificate_to_json, verify
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -110,34 +110,29 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            cert = certificate_from_json(fh.read())
     except OSError as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except json.JSONDecodeError as exc:
-        print(f"not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        if not isinstance(data, dict):
-            raise ValueError("certificate JSON must be an object")
-        cert = certificate_from_dict(data)
     except DomainError as exc:
         print(f"certificate is semantically invalid: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8 and bad JSON as well as bad fields
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return EXIT_PARSE
     recomputed = verify(cert.lens, cert.witness)
+    try:
+        det = str(recomputed.det)
+    except ValueError:  # more digits than Python's str() limit allows
+        det = f"<{recomputed.det.bit_length()}-bit integer>"
     if recomputed.det != cert.det:
-        print(
-            f"determinant mismatch for {cert.lens}: stored {cert.det}, "
-            f"recomputed {recomputed.det}"
-        )
+        print(f"determinant mismatch for {cert.lens}: stored {cert.det}, recomputed {det}")
         return EXIT_MISMATCH
     if not recomputed.valid or not cert.valid:
-        print(f"certificate for {cert.lens} is not a witness: determinant {recomputed.det}")
+        print(f"certificate for {cert.lens} is not a witness: determinant {det}")
         return EXIT_MISMATCH
-    print(f"ok: {cert.lens} witness verifies with determinant {recomputed.det}")
+    print(f"ok: {cert.lens} witness verifies with determinant {det}")
     return EXIT_OK
 
 

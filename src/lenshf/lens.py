@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
-from .numtheory import ext_gcd, mod_inv
+from .numtheory import mod_inv
 
 THREE_SPHERE = "3-sphere"
 NOT_A_LENS_SPACE = "not-a-lens-space"
@@ -43,7 +43,7 @@ class SpecialCase:
 
 @dataclass(frozen=True)
 class BezoutPair:
-    """Positive (s, r) with p*s - q*r = 1 and 0 < r <= p minimal."""
+    """Positive (s, r) with p*s - q*r = 1 and 0 < r < p (r ≡ -q^{-1} mod p)."""
 
     s: int
     r: int
@@ -72,13 +72,9 @@ def normalize(p: int, q: int) -> LensSpace | SpecialCase:
 
 def bezout(lens: LensSpace) -> BezoutPair:
     """The canonical positive Bezout pair of a lens space."""
-    g, _, y = ext_gcd(lens.p, lens.q)
-    assert g == 1
-    r = (-y) % lens.p
-    if r == 0:
-        r = lens.p
+    r = lens.p - mod_inv(lens.q, lens.p)
     s = (1 + lens.q * r) // lens.p
-    assert lens.p * s - lens.q * r == 1 and 0 < r <= lens.p and s > 0
+    assert lens.p * s - lens.q * r == 1 and 0 < r < lens.p and s > 0
     return BezoutPair(s, r)
 
 

@@ -56,10 +56,10 @@ def mod_inv(a: int, m: int) -> int:
     """Inverse of a modulo m, in [1, m).  m >= 2."""
     if m < 2:
         raise DomainError(f"modulus must be >= 2, got {m}")
-    g, x, _ = ext_gcd(a % m, m)
-    if g != 1:
-        raise NotInvertibleError(f"{a} is not invertible modulo {m} (gcd {g})")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotInvertibleError(f"{a} is not invertible modulo {m} (gcd {gcd(a, m)})") from None
 
 
 def jacobi(a: int, m: int) -> int:
@@ -297,36 +297,35 @@ def factor(
     return fact
 
 
-def _sqrt_mod_odd_prime_power(a: int, prime: int, exp: int) -> int | None:
-    """One root of z*z ≡ a (mod prime**exp), gcd(a, prime) = 1, prime odd."""
-    z = sqrt_mod_prime(a % prime, prime)
+def _roots_mod_prime_power(a: int, prime: int, exp: int) -> list[int]:
+    """Ascending roots of z*z ≡ a (mod prime**exp), a prime to prime; [] if none.
+
+    Two follows the mod-2/4/8 rules.  An odd prime's root is Hensel-lifted,
+    and z mod prime never changes, so one inverse of 2z serves every step."""
+    if prime == 2:
+        if exp == 1:
+            return [1]
+        if exp == 2:
+            return [1, 3] if a % 4 == 1 else []
+        if a % 8 != 1:
+            return []
+        z = 1
+        for k in range(3, exp):
+            if (z * z - a) % (1 << (k + 1)):
+                z += 1 << (k - 1)
+        mod = 1 << exp
+        half = mod >> 1
+        return sorted({z % mod, (mod - z) % mod, (z + half) % mod, (half - z) % mod})
+    z = sqrt_mod_prime(a, prime)
     if z is None:
-        return None
-    pk = prime
-    for k in range(1, exp):
-        # Hensel: lift the root from prime**k to prime**(k+1)
-        pk1 = pk * prime
-        t = (a - z * z) // pk % prime
-        z = (z + t * mod_inv(2 * z % prime, prime) % prime * pk) % pk1
-        pk = pk1
-    return z
-
-
-def _roots_mod_2exp(a: int, exp: int) -> list[int]:
-    """All roots of z*z ≡ a (mod 2**exp) for odd a; empty when none exist."""
-    if exp == 1:
-        return [1]
-    if exp == 2:
-        return [1, 3] if a % 4 == 1 else []
-    if a % 8 != 1:
         return []
-    z = 1
-    for k in range(3, exp):
-        if (z * z - a) % (1 << (k + 1)):
-            z += 1 << (k - 1)
-    mod = 1 << exp
-    half = mod >> 1
-    return sorted({z % mod, (mod - z) % mod, (z + half) % mod, (half - z) % mod})
+    pk = prime
+    if exp > 1:
+        inv = mod_inv(2 * z, prime)
+        for _ in range(1, exp):
+            z += (a - z * z) // pk * inv % prime * pk
+            pk *= prime
+    return sorted({z, pk - z})
 
 
 def sqrt_mod(a: int, m: int, fact: Factorization) -> int | None:
@@ -349,11 +348,7 @@ def sqrt_mod(a: int, m: int, fact: Factorization) -> int | None:
     combinations = 1
     for prime, exp in fact.factors:
         pe = prime ** exp
-        if prime == 2:
-            roots = _roots_mod_2exp(a % pe, exp)
-        else:
-            z = _sqrt_mod_odd_prime_power(a % pe, prime, exp)
-            roots = [] if z is None else sorted({z, pe - z})
+        roots = _roots_mod_prime_power(a % pe, prime, exp)
         if not roots:
             return None
         root_sets.append((pe, roots))

@@ -9,7 +9,11 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import numtheory
-from .errors import DomainError
+from .errors import DomainError, ResourceError
+
+# solvable_congruence scans [0, |n|) when gcd(D, n) > 1: |n| = 10^6 takes about
+# 0.15 s on a 2-vCPU host, and the time grows linearly.
+CONGRUENCE_SCAN_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,9 @@ def solvable_congruence(n: int, D: int) -> int | None:
 
     Solved via sqrt_mod when gcd(-D, |n|) = 1, inheriting its ResourceError
     above SQRT_MOD_MAX_COMBINATIONS; otherwise by an O(|n|) scan of [0, |n|),
-    for desk-scale moduli only.  The solver never calls it (its root comes
-    from sqrt_mod_prime modulo the prime q').
+    which raises ResourceError when |n| exceeds CONGRUENCE_SCAN_MAX (10^6).
+    The solver never calls it (its root comes from sqrt_mod_prime modulo
+    the prime q').
     """
     if n == 0:
         raise DomainError("modulus source n must be nonzero")
@@ -69,6 +74,9 @@ def solvable_congruence(n: int, D: int) -> int | None:
             return None
         cands = {root % m, (m - root) % m}
     else:
+        if m > CONGRUENCE_SCAN_MAX:
+            raise ResourceError(f"solvable_congruence would scan [0, {m}), "
+                                f"above the cap of {CONGRUENCE_SCAN_MAX}")
         cands = {z for z in range(m) if (z * z + D) % m == 0}
         if not cands:
             return None

@@ -257,6 +257,42 @@ def test_verify_missing_file_exit_65(tmp_path, capsys):
     assert code == 65
 
 
+def test_verify_non_utf8_file_exit_65(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"p": "5", "q": "\xff"}')
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 65 and out == ""
+    assert "malformed certificate" in err
+
+
+def test_verify_json_nested_past_the_recursion_limit_exit_65(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 65 and out == ""
+    assert "malformed certificate" in err
+
+
+def test_verify_raw_integer_past_the_digit_limit_exit_65(tmp_path, capsys):
+    path = tmp_path / "raw.json"
+    path.write_text('{"p": ' + "7" * 5000 + ', "q": "2"}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 65 and out == ""
+    assert "malformed certificate" in err
+
+
+def test_verify_mismatch_with_an_oversized_determinant_exit_1(tmp_path, capsys):
+    # entries under the 4300-digit str() limit whose determinant is far past it
+    big = "9" * 4000
+    data = {"p": big, "q": "2", "n": "1", "a": [big], "t": ["1"], "l": [["0"]],
+            "det": "1", "valid": True}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert "stored 1, recomputed <26577-bit integer>" in out
+
+
 def test_verify_missing_field_exit_65(tmp_path, capsys):
     path = tmp_path / "partial.json"
     path.write_text('{"p": "5", "q": "2"}', encoding="utf-8")

@@ -88,7 +88,7 @@ def test_bezout_identity_small_exhaustive():
                 continue
             pair = bezout(LensSpace(p, q))
             assert p * pair.s - q * pair.r == 1
-            assert 0 < pair.r <= p and pair.s > 0
+            assert 0 < pair.r < p and pair.s > 0
             assert q * pair.r % p == p - 1  # q·r ≡ -1 (mod p)
 
 
@@ -102,7 +102,7 @@ def test_bezout_identity_sampled_large():
             continue
         pair = bezout(LensSpace(p, q))
         assert p * pair.s - q * pair.r == 1
-        assert 0 < pair.r <= p and pair.s > 0
+        assert 0 < pair.r < p and pair.s > 0
         done += 1
 
 

@@ -94,6 +94,13 @@ def test_mod_inv_result_in_range_and_correct():
 def test_mod_inv_rejects_non_coprime():
     with pytest.raises(NotInvertibleError):
         mod_inv(2, 4)
+    with pytest.raises(NotInvertibleError, match=r"6 is not invertible modulo 15 \(gcd 3\)"):
+        mod_inv(6, 15)
+    with pytest.raises(NotInvertibleError, match=r"\(gcd 7\)"):
+        mod_inv(-7, 14)
+    for m in (1, 0, -5):
+        with pytest.raises(DomainError, match="modulus must be >= 2"):
+            mod_inv(1, m)
 
 
 # --- jacobi ------------------------------------------------------------------
@@ -372,6 +379,24 @@ def test_sqrt_mod_prime_power_lifting():
             assert (z is not None) == (a in squares), (a, m)
             if z is not None:
                 assert z * z % m == a
+
+
+def test_roots_mod_prime_power_are_every_root_below_3000():
+    # every prime power pe < 3000, 2-powers included, against one squares table per pe
+    checked = 0
+    for prime in _primes_below(3000):
+        pe, exp = prime, 1
+        while pe < 3000:
+            roots_of = {}
+            for x in range(pe):
+                roots_of.setdefault(x * x % pe, []).append(x)
+            for a in range(1, pe):
+                if a % prime:
+                    got = numtheory._roots_mod_prime_power(a, prime, exp)
+                    assert got == roots_of.get(a, []), (a, prime, exp)
+                    checked += 1
+            pe, exp = pe * prime, exp + 1
+    assert checked > 600_000
 
 
 def test_sqrt_mod_caps_its_root_combinations():

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+import time
 from math import gcd
 
 import pytest
 
-from lenshf.errors import DomainError
+from lenshf.errors import DomainError, ResourceError
 from lenshf.oracle import brute_form_represents
 from lenshf.quadform import QuadForm, construct_representing_form, solvable_congruence
 
@@ -69,6 +70,14 @@ def test_solvable_congruence_known_values():
 def test_solvable_congruence_rejects_zero_modulus():
     with pytest.raises(DomainError):
         solvable_congruence(0, 5)
+
+
+def test_solvable_congruence_caps_its_scan():
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=r"\[0, 30000000\).*1000000"):
+        solvable_congruence(3 * 10**7, 3)  # gcd(-3, 3·10^7) = 3: the scan branch
+    assert time.perf_counter() - start < 1.0
+    assert solvable_congruence(-(10**6), 0) == 0  # at the cap the scan still runs
 
 
 def test_solvable_congruence_agrees_with_scan():
