@@ -13,8 +13,6 @@ from .lens import (
 )
 from .numtheory import (
     Factorization,
-    cf_expansion,
-    ext_gcd,
     factor,
     is_prime,
     jacobi,
@@ -27,7 +25,6 @@ from .solver import (
     ConstructionTrace,
     PrimeShift,
     find_prime_shift,
-    hc_upper_bound_connected_sum,
     minimal_planar_boundaries,
     solve_n2,
     solve_n3,
@@ -45,7 +42,7 @@ from .witness import (
     verify,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BezoutPair",
@@ -69,13 +66,10 @@ __all__ = [
     "certificate_from_json",
     "certificate_to_dict",
     "certificate_to_json",
-    "cf_expansion",
     "construct_representing_form",
     "det_exact",
-    "ext_gcd",
     "factor",
     "find_prime_shift",
-    "hc_upper_bound_connected_sum",
     "is_prime",
     "jacobi",
     "minimal_planar_boundaries",

@@ -46,13 +46,15 @@ def _trace_lines(trace) -> list[str]:
     return [f"  {name}: {getattr(trace, name)}" for name in TRACE_FIELDS]
 
 
-def _check_mr_rounds(args) -> None:
+def _check_search_limits(args) -> None:
+    if args.cap < 1:
+        raise DomainError(f"--cap must be >= 1, got {args.cap}")
     if args.mr_rounds is not None and args.mr_rounds < 1:
         raise DomainError(f"--mr-rounds must be >= 1, got {args.mr_rounds}")
 
 
 def cmd_analyze(args) -> int:
-    _check_mr_rounds(args)
+    _check_search_limits(args)
     result = normalize(args.p, args.q)
     if isinstance(result, SpecialCase):
         if args.json:
@@ -78,7 +80,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _check_mr_rounds(args)
+    _check_search_limits(args)
     if args.pmax < 2:
         raise DomainError(f"pmax must be >= 2, got {args.pmax}")
     for p in range(2, args.pmax + 1):
@@ -184,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in (pa, pt):
         sp.add_argument("--cap", type=int, default=DEFAULT_PRIME_SHIFT_CAP,
-                        help="prime search cap per branch")
+                        help="prime search cap per branch (>= 1)")
         sp.add_argument("--mr-rounds", type=int, default=None,
                         help="Miller-Rabin rounds above the deterministic range (>= 1)")
 

@@ -1,5 +1,5 @@
-"""Exact integer kernel: Bezout/gcd, modular inverses, Jacobi symbols,
-primality, modular square roots, factoring, and continued fractions.
+"""Exact integer kernel: modular inverses, Jacobi symbols, primality,
+modular square roots and factoring.
 
 Everything operates on plain Python integers (arbitrary precision) and no
 floating point is used anywhere.  All functions are pure and safe to call
@@ -27,29 +27,12 @@ _SMALL_PRIMES = (
     71, 73, 79, 83, 89, 97,
 )
 
-DEFAULT_TRIAL_BOUND = 10_000
-DEFAULT_FACTOR_EFFORT = 4_000_000
+TRIAL_BOUND = 10_000
+FACTOR_EFFORT = 4_000_000
 
 # sqrt_mod's CRT lists every root combination: 2^18 (18 odd primes) takes about
 # 0.2 s and +22 MB peak RSS on a 2-vCPU host, and each further prime doubles both.
 SQRT_MOD_MAX_COMBINATIONS = 1 << 18
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    if a == 0 and b == 0:
-        raise DomainError("ext_gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def mod_inv(a: int, m: int) -> int:
@@ -252,18 +235,13 @@ def _pollard_brent(n: int, budget: list[int]) -> int:
     raise ResourceError(f"Pollard rho failed to split {n}")
 
 
-def factor(
-    m: int,
-    rounds: int | None = None,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    effort: int = DEFAULT_FACTOR_EFFORT,
-) -> Factorization:
+def factor(m: int, rounds: int | None = None) -> Factorization:
     """Full prime factorization of m >= 1.
 
-    Trial division up to trial_bound, then Pollard rho (Brent).  Every
+    Trial division up to TRIAL_BOUND, then Pollard rho (Brent).  Every
     remaining piece is certified once, by is_prime(piece, rounds), and the
-    result is built without certifying it again.  Exceeding the configured
-    effort cap raises ResourceError.
+    result is built without certifying it again.  Spending more than
+    FACTOR_EFFORT Pollard-Brent iterations raises ResourceError.
     """
     if m < 1:
         raise DomainError(f"factor() needs m >= 1, got {m}")
@@ -275,13 +253,13 @@ def factor(
             rem //= p
     # wheel over 6k±1
     d = 7
-    while d <= trial_bound and d * d <= rem:
+    while d <= TRIAL_BOUND and d * d <= rem:
         for cand in (d - 2, d):
             while rem % cand == 0:
                 counts[cand] = counts.get(cand, 0) + 1
                 rem //= cand
         d += 6
-    budget = [effort]
+    budget = [FACTOR_EFFORT]
     stack = [rem] if rem > 1 else []
     while stack:
         n = stack.pop()
@@ -367,16 +345,3 @@ def sqrt_mod(a: int, m: int, fact: Factorization) -> int | None:
         mod *= pe
     return min(combos)
 
-
-def cf_expansion(p: int, q: int) -> list[int]:
-    """Continued fraction of p/q by the Euclidean algorithm (all-positive
-    convention), for coprime 0 < q < p."""
-    if not 0 < q < p:
-        raise DomainError(f"cf_expansion needs 0 < q < p, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise DomainError(f"cf_expansion needs gcd(p, q) = 1, got ({p}, {q})")
-    out = []
-    while q:
-        out.append(p // q)
-        p, q = q, p % q
-    return out

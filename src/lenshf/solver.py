@@ -166,19 +166,3 @@ def minimal_planar_boundaries(
         return 2, two
     return 3, solve_n3(lens, cap, mr_rounds)
 
-
-def hc_upper_bound_connected_sum(summands: list[LensSpace]) -> int | None:
-    """Handle-count upper bound patterns for connected sums of 1 to 3 lens
-    spaces: both of two summands with q a residue mod p gives 1; at least
-    two of three gives 2; anything else is unknown (None).  The residue test
-    is sqrt_mod, whose ResourceError above SQRT_MOD_MAX_COMBINATIONS it keeps."""
-    if not 1 <= len(summands) <= 3:
-        raise DomainError(f"connected sums of 1..3 summands only, got {len(summands)}")
-    flags = [
-        sqrt_mod(lens.q, lens.p, factor(lens.p)) is not None for lens in summands
-    ]
-    if len(summands) == 2 and all(flags):
-        return 1
-    if len(summands) == 3 and sum(flags) >= 2:
-        return 2
-    return None

@@ -200,12 +200,15 @@ _TRACE_INT_FIELDS = tuple(name for name in TRACE_FIELDS if name != "branch")
 
 
 def _parse_int(value: Any) -> int:
+    if isinstance(value, str):  # the common case, tested first
+        # int() alone would also take "0_7", " 7" and non-ASCII digits
+        if not (value.isascii() and value.lstrip("+-").isdigit()):
+            raise ValueError(f"expected a decimal string, got {value!r}")
+        return int(value)
     if isinstance(value, bool):
         raise ValueError("boolean is not an integer field")
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
-        return int(value.strip(), 10)
     raise ValueError(f"expected integer or decimal string, got {value!r}")
 
 

@@ -184,9 +184,10 @@ def test_mr_rounds_below_one_exit_2_before_any_work(capsys, monkeypatch):
     _counting(monkeypatch, lenshf.cli, "minimal_planar_boundaries", counter)
     big = "1000000000000000000000000000057"  # prime; L(big, 5) needs 3 boundaries
     for argv in (("analyze", big, "5"), ("analyze", "4", "1"), ("table", "10")):
-        for rounds in ("0", "-1"):
-            code, out, err = run_cli(capsys, *argv, f"--mr-rounds={rounds}")
-            assert code == 2 and out == "" and "--mr-rounds must be >= 1" in err, argv
+        for flag in ("--mr-rounds=0", "--mr-rounds=-1", "--cap=0", "--cap=-1"):
+            code, out, err = run_cli(capsys, *argv, flag)
+            name = flag.split("=")[0]
+            assert code == 2 and out == "" and f"{name} must be >= 1" in err, (argv, flag)
     assert counter == {"factor": 0, "minimal_planar_boundaries": 0}
     code, out, _ = run_cli(capsys, "analyze", big, "5", "--mr-rounds=1")
     assert code == 0 and "3 boundary components" in out
@@ -291,6 +292,15 @@ def test_verify_mismatch_with_an_oversized_determinant_exit_1(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 1
     assert "stored 1, recomputed <26577-bit integer>" in out
+
+
+def test_verify_non_decimal_integer_string_exit_65(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "analyze", "7", "3", "--json")
+    for p in ("0_7", "\u0667"):  # int() reads both, and the Arabic-Indic digit seven, as 7
+        path = tmp_path / "p.json"
+        path.write_text(out.replace('"p": "7"', f'"p": "{p}"'), encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "verify", str(path))
+        assert code == 65 and stdout == "" and "malformed certificate" in err, p
 
 
 def test_verify_missing_field_exit_65(tmp_path, capsys):

@@ -16,8 +16,6 @@ from lenshf import numtheory
 from lenshf.errors import DomainError, IntegrityError, NotInvertibleError, ResourceError
 from lenshf.numtheory import (
     Factorization,
-    cf_expansion,
-    ext_gcd,
     factor,
     is_prime,
     jacobi,
@@ -40,38 +38,7 @@ def _squares_mod(m):
     return {x * x % m for x in range(m)}
 
 
-# --- ext_gcd / mod_inv -------------------------------------------------------
-
-def test_ext_gcd_basic():
-    assert ext_gcd(5, 2) == (1, 1, -2)
-    assert ext_gcd(6, 0) == (6, 1, 0)
-
-
-def test_ext_gcd_bezout_identity():
-    g, x, y = ext_gcd(12, 5)
-    assert g == 1 and 12 * x + 5 * y == 1
-
-
-def test_ext_gcd_rejects_double_zero():
-    with pytest.raises(DomainError):
-        ext_gcd(0, 0)
-
-
-def test_ext_gcd_identity_holds_on_random_inputs():
-    rng = random.Random(11)
-    for _ in range(500):
-        a = rng.randint(-10**6, 10**6)
-        b = rng.randint(-10**6, 10**6)
-        if a == 0 and b == 0:
-            continue
-        g, x, y = ext_gcd(a, b)
-        assert g == gcd(a, b) >= 0
-        assert a * x + b * y == g
-        if a:
-            assert a % g == 0
-        if b:
-            assert b % g == 0
-
+# --- mod_inv ----------------------------------------------------------------
 
 def test_mod_inv_basic():
     assert mod_inv(4, 7) == 2
@@ -294,9 +261,10 @@ def test_factor_runs_exactly_the_requested_rounds(monkeypatch):
         factor(m, 0)
 
 
-def test_factor_effort_cap():
+def test_factor_effort_cap(monkeypatch):
+    monkeypatch.setattr(numtheory, "FACTOR_EFFORT", 10)
     with pytest.raises(ResourceError):
-        factor(1_000_003 * 1_000_033, trial_bound=100, effort=10)
+        factor(1_000_003 * 1_000_033)
 
 
 def test_factor_rejects_nonpositive():
@@ -410,34 +378,3 @@ def test_sqrt_mod_caps_its_root_combinations():
     m = prod(odd[:16])
     assert sqrt_mod(4, m, factor(m)) == 2
 
-
-# --- cf_expansion ------------------------------------------------------------
-
-def _cf_value(coeffs):
-    num, den = coeffs[-1], 1
-    for c in reversed(coeffs[:-1]):
-        num, den = c * num + den, num
-    return num, den
-
-
-def test_cf_expansion_known_values():
-    assert cf_expansion(5, 2) == [2, 2]
-    assert cf_expansion(3, 1) == [3]
-    assert _cf_value(cf_expansion(7, 5)) == (7, 5)
-
-
-def test_cf_expansion_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        cf_expansion(5, 0)
-    with pytest.raises(DomainError):
-        cf_expansion(5, 5)
-    with pytest.raises(DomainError):
-        cf_expansion(4, 2)
-
-
-def test_cf_expansion_reconstructs_all_pairs_below_500():
-    for p in range(2, 500):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            assert _cf_value(cf_expansion(p, q)) == (p, q)

@@ -80,6 +80,11 @@ def test_brute_n3_known_values():
     assert all(abs(v) <= 7 for v in w.a + w.t + [w.l[0][1]])
 
 
+def test_brute_n2_rejects_negative_bound():
+    with pytest.raises(DomainError):
+        brute_n2(LensSpace(7, 3), -1)
+
+
 def test_brute_n3_rejects_negative_box():
     with pytest.raises(DomainError):
         brute_n3(LensSpace(5, 2), -1)

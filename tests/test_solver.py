@@ -23,7 +23,6 @@ from lenshf.solver import (
     ConstructionTrace,
     PrimeShift,
     find_prime_shift,
-    hc_upper_bound_connected_sum,
     minimal_planar_boundaries,
     solve_n2,
     solve_n3,
@@ -352,34 +351,3 @@ def test_factorization_of_another_number_is_rejected():
     with pytest.raises(DomainError):
         solve_n2(LensSpace(7, 3), fact=factor(5))
 
-
-# --- hc_upper_bound_connected_sum --------------------------------------------
-
-def test_hc_bound_known_values():
-    assert hc_upper_bound_connected_sum([LensSpace(7, 2), LensSpace(23, 2)]) == 1
-    assert hc_upper_bound_connected_sum([LensSpace(5, 2), LensSpace(7, 3)]) is None
-    assert (
-        hc_upper_bound_connected_sum([LensSpace(5, 2), LensSpace(7, 2), LensSpace(23, 2)])
-        == 2
-    )
-
-
-def test_hc_bound_requires_direct_residue():
-    # -3 is a residue mod 7 but 3 is not; the two-summand pattern needs q itself
-    assert hc_upper_bound_connected_sum([LensSpace(7, 3), LensSpace(7, 3)]) is None
-
-
-def test_hc_bound_three_summands_need_two_residues():
-    qr = LensSpace(7, 2)      # 2 ≡ 3² (mod 7)
-    non = LensSpace(5, 2)     # 2 not a square mod 5
-    assert hc_upper_bound_connected_sum([qr, non, non]) is None
-    assert hc_upper_bound_connected_sum([qr, qr, non]) == 2
-    assert hc_upper_bound_connected_sum([qr, qr, qr]) == 2
-
-
-def test_hc_bound_single_summand_and_length_errors():
-    assert hc_upper_bound_connected_sum([LensSpace(7, 2)]) is None
-    with pytest.raises(DomainError):
-        hc_upper_bound_connected_sum([])
-    with pytest.raises(DomainError):
-        hc_upper_bound_connected_sum([LensSpace(7, 2)] * 4)

@@ -265,6 +265,8 @@ def test_json_rejects_malformed_structure():
         lambda d: d.__setitem__("det", True),
         lambda d: d.__setitem__("valid", "yes"),
         lambda d: d.__setitem__("a", "10"),
+        lambda d: d.__setitem__("p", "0_5"),
+        lambda d: d.__setitem__("p", "\u0665"),  # Arabic-Indic digit five
     ):
         d = {k: (v[:] if isinstance(v, list) else v) for k, v in good.items()}
         breakage(d)
