@@ -3,13 +3,14 @@
 Subcommands: analyze (one lens space), table (sweep p up to a bound),
 verify (recheck a certificate file), oracle (the brute-force cross-checks).
 Exit codes: 0 success, 1 verification mismatch, 2 domain error, 3 resource
-or integrity error, 64 usage error, 65 certificate parse failure.
+or integrity error, 64 usage error, 65 certificate parse failure, 141 closed pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import gcd
 
@@ -18,8 +19,8 @@ from .errors import DomainError, IntegrityError, ResourceError
 from .lens import THREE_SPHERE, LensSpace, SpecialCase, normalize
 from .numtheory import factor
 from .quadform import QuadForm
-from .solver import DEFAULT_PRIME_SHIFT_CAP, minimal_planar_boundaries
-from .witness import TRACE_FIELDS, certificate_from_json, certificate_to_json, verify
+from .solver import minimal_planar_boundaries
+from .witness import TRACE_FIELDS, _check_verify_budget, certificate_from_json, certificate_to_json, verify
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -27,6 +28,7 @@ EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1`
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,15 +48,7 @@ def _trace_lines(trace) -> list[str]:
     return [f"  {name}: {getattr(trace, name)}" for name in TRACE_FIELDS]
 
 
-def _check_search_limits(args) -> None:
-    if args.cap < 1:
-        raise DomainError(f"--cap must be >= 1, got {args.cap}")
-    if args.mr_rounds is not None and args.mr_rounds < 1:
-        raise DomainError(f"--mr-rounds must be >= 1, got {args.mr_rounds}")
-
-
 def cmd_analyze(args) -> int:
-    _check_search_limits(args)
     result = normalize(args.p, args.q)
     if isinstance(result, SpecialCase):
         if args.json:
@@ -65,7 +59,7 @@ def cmd_analyze(args) -> int:
         else:
             print(f"({args.p},{args.q}) is not a lens space with p >= 2; out of scope")
         return EXIT_OK
-    count, cert = minimal_planar_boundaries(result, cap=args.cap, mr_rounds=args.mr_rounds)
+    count, cert = minimal_planar_boundaries(result)
     if args.json:
         print(certificate_to_json(cert, include_trace=args.trace))
         return EXIT_OK
@@ -80,18 +74,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _check_search_limits(args)
     if args.pmax < 2:
         raise DomainError(f"pmax must be >= 2, got {args.pmax}")
     for p in range(2, args.pmax + 1):
-        fact = factor(p, args.mr_rounds)
+        fact = factor(p)
         count2 = count3 = 0
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            count, cert = minimal_planar_boundaries(
-                LensSpace(p, q), cap=args.cap, mr_rounds=args.mr_rounds, fact=fact
-            )
+            count, cert = minimal_planar_boundaries(LensSpace(p, q), fact=fact)
             if count == 2:
                 count2 += 1
             else:
@@ -123,6 +114,7 @@ def cmd_verify(args) -> int:
         # ValueError covers bad UTF-8 and bad JSON as well as bad fields
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    _check_verify_budget(cert.lens, cert.witness)
     recomputed = verify(cert.lens, cert.witness)
     try:
         det = str(recomputed.det)
@@ -184,12 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--summary", action="store_true", help="append per-p counts")
     pt.set_defaults(func=cmd_table)
 
-    for sp in (pa, pt):
-        sp.add_argument("--cap", type=int, default=DEFAULT_PRIME_SHIFT_CAP,
-                        help="prime search cap per branch (>= 1)")
-        sp.add_argument("--mr-rounds", type=int, default=None,
-                        help="Miller-Rabin rounds above the deterministic range (>= 1)")
-
     pv = sub.add_parser("verify", help="recheck a certificate JSON file")
     pv.add_argument("path")
     pv.set_defaults(func=cmd_verify)
@@ -235,7 +221,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

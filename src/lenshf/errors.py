@@ -10,7 +10,7 @@ class NotInvertibleError(DomainError):
 
 
 class ResourceError(RuntimeError):
-    """A configured search or effort cap was exhausted before success."""
+    """A search or effort cap was exhausted before success."""
 
 
 class IntegrityError(RuntimeError):

@@ -20,7 +20,7 @@ from .errors import DomainError, IntegrityError, NotInvertibleError, ResourceErr
 # deterministic primality test.
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-DEFAULT_MR_ROUNDS = 64
+MR_ROUNDS = 64
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -78,16 +78,13 @@ def _mr_witness(n: int, d: int, s: int, base: int) -> bool:
     return True
 
 
-def is_prime(m: int, rounds: int | None = None) -> bool:
+def is_prime(m: int) -> bool:
     """Miller-Rabin primality.
 
     Deterministic (13 fixed bases) below MR_DETERMINISTIC_BOUND; above it,
-    probabilistic with `rounds` random bases (default 64; fewer than one
-    raises DomainError).  The base stream for large inputs is seeded from
-    the input, so results are reproducible.
+    probabilistic with MR_ROUNDS (64) random bases.  The base stream for
+    large inputs is seeded from the input, so results are reproducible.
     """
-    if rounds is not None and rounds < 1:
-        raise DomainError(f"Miller-Rabin rounds must be >= 1, got {rounds}")
     if m < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -105,8 +102,7 @@ def is_prime(m: int, rounds: int | None = None) -> bool:
         bases = _MR_DETERMINISTIC_BASES
     else:
         rng = random.Random(m)
-        n_rounds = DEFAULT_MR_ROUNDS if rounds is None else rounds
-        bases = tuple(rng.randrange(2, m - 1) for _ in range(n_rounds))
+        bases = tuple(rng.randrange(2, m - 1) for _ in range(MR_ROUNDS))
     return not any(_mr_witness(m, d, s, b) for b in bases)
 
 
@@ -235,11 +231,11 @@ def _pollard_brent(n: int, budget: list[int]) -> int:
     raise ResourceError(f"Pollard rho failed to split {n}")
 
 
-def factor(m: int, rounds: int | None = None) -> Factorization:
+def factor(m: int) -> Factorization:
     """Full prime factorization of m >= 1.
 
     Trial division up to TRIAL_BOUND, then Pollard rho (Brent).  Every
-    remaining piece is certified once, by is_prime(piece, rounds), and the
+    remaining piece is certified once, by is_prime(piece), and the
     result is built without certifying it again.  Spending more than
     FACTOR_EFFORT Pollard-Brent iterations raises ResourceError.
     """
@@ -263,7 +259,7 @@ def factor(m: int, rounds: int | None = None) -> Factorization:
     stack = [rem] if rem > 1 else []
     while stack:
         n = stack.pop()
-        if is_prime(n, rounds):
+        if is_prime(n):
             counts[n] = counts.get(n, 0) + 1
             continue
         g = _pollard_brent(n, budget)

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DomainError, IntegrityError, ResourceError
+from .errors import IntegrityError, ResourceError
 from .lens import BezoutPair, LensSpace, bezout
 from .numtheory import Factorization, factor, is_prime, jacobi, mod_inv, sqrt_mod, sqrt_mod_prime
 from .quadform import construct_representing_form
 from .witness import Certificate, ConstructionTrace, Witness, verify
 
-DEFAULT_PRIME_SHIFT_CAP = 100_000
+PRIME_SHIFT_CAP = 100_000
 
 Q_BRANCH = "q-branch"
 R_BRANCH = "r-branch"
@@ -33,32 +33,26 @@ class PrimeShift(NamedTuple):
     s_prime: int
 
 
-def find_prime_shift(
-    lens: LensSpace,
-    pair: BezoutPair,
-    cap: int = DEFAULT_PRIME_SHIFT_CAP,
-    mr_rounds: int | None = None,
-) -> PrimeShift:
+def find_prime_shift(lens: LensSpace, pair: BezoutPair) -> PrimeShift:
     """First prime ≡ 3 (mod 4) in the progressions q + k*p and r + k*p.
 
     Tested in the interleaved order (q-branch, k), (r-branch, k), k + 1, so
     results are deterministic.  Returns the branch, shift k, the prime
     q_prime, and s_prime = s + k*r (q-branch) or s + k*q (r-branch), which
-    satisfies p*s_prime - q~*q_prime = 1 for q~ = r resp. q.  Raises
-    ResourceError when neither branch hits within cap shifts.
+    satisfies p*s_prime - q~*q_prime = 1 for q~ = r resp. q.  One branch
+    always holds such a prime (Dirichlet), so PRIME_SHIFT_CAP (10^5) shifts
+    per branch is a runaway guard: past it, ResourceError.
     """
-    if cap < 1:
-        raise DomainError(f"cap must be positive, got {cap}")
     p, q = lens.p, lens.q
     s, r = pair.s, pair.r
-    for k in range(cap):
+    for k in range(PRIME_SHIFT_CAP):
         for branch, base, step in ((Q_BRANCH, q, r), (R_BRANCH, r, q)):
             cand = base + k * p
-            if cand % 4 == 3 and is_prime(cand, mr_rounds):
+            if cand % 4 == 3 and is_prime(cand):
                 return PrimeShift(branch, k, cand, s + k * step)
     raise ResourceError(
-        f"no prime ≡ 3 (mod 4) in {q}+k*{p} or {r}+k*{p} for k < {cap}; "
-        f"raise the cap to continue the search"
+        f"no prime ≡ 3 (mod 4) in {q}+k*{p} or {r}+k*{p} for k < {PRIME_SHIFT_CAP} "
+        f"(solver.PRIME_SHIFT_CAP)"
     )
 
 
@@ -73,9 +67,7 @@ def _certified(
     return cert if trace is None else Certificate(lens, w, want, True, trace)
 
 
-def solve_n2(
-    lens: LensSpace, mr_rounds: int | None = None, *, fact: Factorization | None = None
-) -> Certificate | None:
+def solve_n2(lens: LensSpace, *, fact: Factorization | None = None) -> Certificate | None:
     """Certificate with one boundary pair (n = 1), or None when impossible.
 
     Solves q*a^2 ≡ δ (mod p) for δ = +1 then -1, preferring the +1 branch
@@ -86,7 +78,7 @@ def solve_n2(
     p, q = lens.p, lens.q
     qinv = mod_inv(q, p)
     if fact is None:
-        fact = factor(p, mr_rounds)
+        fact = factor(p)
     for delta in (1, -1):
         a = sqrt_mod(delta * qinv % p, p, fact)
         if a is not None:
@@ -94,13 +86,9 @@ def solve_n2(
     return None
 
 
-def solve_n3(
-    lens: LensSpace,
-    cap: int = DEFAULT_PRIME_SHIFT_CAP,
-    mr_rounds: int | None = None,
-) -> Certificate:
+def solve_n3(lens: LensSpace) -> Certificate:
     """Certificate with two boundary pairs (n = 2) and its construction
-    trace; always succeeds given enough prime-search cap.
+    trace; ResourceError only past PRIME_SHIFT_CAP prime-search shifts.
 
     Pipeline: Bezout pair; prime shift q' ≡ 3 (mod 4); the sign eps with
     jacobi(eps*p, q') = +1 (exactly one works since q' ≡ 3 mod 4);
@@ -118,7 +106,7 @@ def solve_n3(
     p, q = lens.p, lens.q
     pair = bezout(lens)
     s, r = pair.s, pair.r
-    shift = find_prime_shift(lens, pair, cap, mr_rounds)
+    shift = find_prime_shift(lens, pair)
     qp = shift.q_prime
     j_plus = jacobi(p, qp)
     if j_plus == 0:
@@ -149,11 +137,7 @@ def solve_n3(
 
 
 def minimal_planar_boundaries(
-    lens: LensSpace,
-    cap: int = DEFAULT_PRIME_SHIFT_CAP,
-    mr_rounds: int | None = None,
-    *,
-    fact: Factorization | None = None,
+    lens: LensSpace, *, fact: Factorization | None = None
 ) -> tuple[int, Certificate]:
     """The minimal boundary count (2 or 3) with a verified certificate.
 
@@ -161,8 +145,8 @@ def minimal_planar_boundaries(
     the same p factor it once; None factors here.  The certificate is the
     one solve_n2/solve_n3 verified.
     """
-    two = solve_n2(lens, mr_rounds, fact=fact)
+    two = solve_n2(lens, fact=fact)
     if two is not None:
         return 2, two
-    return 3, solve_n3(lens, cap, mr_rounds)
+    return 3, solve_n3(lens)
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from math import log2
 from typing import Any
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .lens import LensSpace
 
 
@@ -167,6 +168,32 @@ def det_exact(m: list[list[int]]) -> int:
     if size <= 4:
         return _det_cofactor(m)
     return _det_bareiss(m)
+
+
+# Estimated seconds of Bareiss elimination above which `lenshf verify` refuses
+# a certificate; verify() itself, which the solvers call, has no budget.
+VERIFY_BUDGET_S = 0.5
+
+
+def _check_verify_budget(lens: LensSpace, w: Witness) -> None:
+    """ResourceError when verify(lens, w) would take longer than VERIFY_BUDGET_S.
+
+    Costed as Bareiss elimination at every size; below size 5, where
+    det_exact expands cofactors, entries within the parser's 4300 digits
+    estimate under 0.04 s.  Every intermediate is a minor, so it has at most
+    H bits (H the Hadamard bound, from bit lengths in O(size^2)) and about
+    H/2 on average.  Fitted on a 2-vCPU host for sizes 6 to 241: 0.3 µs per
+    update plus 2.2e-12 s per squared operand bit, high past 10^4 bits.
+    """
+    m = assemble_matrix(lens, w)
+    size = len(m)
+    h = sum(0.5 * log2(sum(1 << 2 * x.bit_length() for x in row)) for row in m)
+    estimate = (size - 1) * size * (2 * size - 1) // 6 * (3e-7 + 2.2e-12 * (h / 2) ** 2)
+    if estimate > VERIFY_BUDGET_S:
+        raise ResourceError(
+            f"determinant of a {size}x{size} matrix with Hadamard bound {h:.0f} bits is "
+            f"estimated at {estimate:.2g} s, above the verify budget of {VERIFY_BUDGET_S} s"
+        )
 
 
 def verify(lens: LensSpace, w: Witness) -> Certificate:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from math import gcd
 
 import pytest
@@ -94,8 +96,9 @@ def test_analyze_domain_error_exit_2(capsys):
     assert code == 2 and "domain error" in err
 
 
-def test_analyze_resource_error_exit_3(capsys):
-    code, _, err = run_cli(capsys, "analyze", "5", "2", "--cap", "1")
+def test_analyze_resource_error_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(lenshf.solver, "PRIME_SHIFT_CAP", 1)
+    code, _, err = run_cli(capsys, "analyze", "5", "2")
     assert code == 3 and "resource" in err
 
 
@@ -178,19 +181,31 @@ def test_table_factors_each_p_once_and_verifies_each_row_once(capsys, monkeypatc
     assert counter == {"factor": 29, "verify": len(rows)}
 
 
-def test_mr_rounds_below_one_exit_2_before_any_work(capsys, monkeypatch):
+def test_removed_search_flags_exit_64_before_any_work(capsys, monkeypatch):
+    # the prime-search cap and the Miller-Rabin round count are module constants
     counter = {"factor": 0, "minimal_planar_boundaries": 0}
     _counting(monkeypatch, lenshf.cli, "factor", counter)
     _counting(monkeypatch, lenshf.cli, "minimal_planar_boundaries", counter)
-    big = "1000000000000000000000000000057"  # prime; L(big, 5) needs 3 boundaries
-    for argv in (("analyze", big, "5"), ("analyze", "4", "1"), ("table", "10")):
-        for flag in ("--mr-rounds=0", "--mr-rounds=-1", "--cap=0", "--cap=-1"):
-            code, out, err = run_cli(capsys, *argv, flag)
-            name = flag.split("=")[0]
-            assert code == 2 and out == "" and f"{name} must be >= 1" in err, (argv, flag)
+    for argv in (("analyze", "7", "3", "--cap", "5"), ("analyze", "7", "3", "--mr-rounds", "5"),
+                 ("table", "10", "--cap", "5")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64 and out == "" and "unrecognized arguments" in err, argv
     assert counter == {"factor": 0, "minimal_planar_boundaries": 0}
-    code, out, _ = run_cli(capsys, "analyze", big, "5", "--mr-rounds=1")
-    assert code == 0 and "3 boundary components" in out
+
+
+def test_table_into_a_closed_pipe_prints_no_traceback():
+    src = os.path.dirname(os.path.dirname(lenshf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lenshf.cli", "table", "400"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"2\t1\t2\t1\n"
+    proc.stdout.close()  # as `head -1` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == lenshf.cli.EXIT_BROKEN_PIPE
+    assert err == b"", err.decode()  # no BrokenPipeError traceback
 
 
 def test_table_rows_match_single_space_analysis(capsys):
@@ -292,6 +307,39 @@ def test_verify_mismatch_with_an_oversized_determinant_exit_1(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 1
     assert "stored 1, recomputed <26577-bit integer>" in out
+
+
+def _random_certificate(n, bound, seed):
+    """A certificate JSON dict of size n with every entry in [-bound, bound]."""
+    rng = random.Random(seed)
+    l = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            l[i][j] = l[j][i] = rng.randint(-bound, bound)
+    return {"p": str(bound | 1), "q": "1", "n": str(n),
+            "a": [str(rng.randint(-bound, bound)) for _ in range(n)],
+            "t": [str(rng.randint(-bound, bound)) for _ in range(n)],
+            "l": [[str(v) for v in row] for row in l], "det": "1", "valid": True}
+
+
+def test_verify_refuses_a_certificate_over_the_elimination_budget(tmp_path, capsys):
+    # Bareiss took 7 s on the first and 0.7 s on the second before the budget
+    for n, bound in ((240, 9), (60, 2**63)):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(_random_certificate(n, bound, seed=n)), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert time.perf_counter() - start < 1.0, n
+        assert code == 3 and out == "" and "above the verify budget" in err, n
+
+
+def test_verify_elimination_budget_passes_moderate_certificates(tmp_path, capsys):
+    # n = 100 with small entries, and n = 5 with entries at the 4300-digit limit
+    for n, bound in ((100, 9), (5, 10**4299)):
+        path = tmp_path / "moderate.json"
+        path.write_text(json.dumps(_random_certificate(n, bound, seed=n)), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1 and "determinant mismatch" in out, n
 
 
 def test_verify_non_decimal_integer_string_exit_65(tmp_path, capsys):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import inspect
 
 import lenshf
-from lenshf import factor
 
 
 def test_public_surface_is_exactly_the_solver_kernel():
@@ -52,4 +51,16 @@ def test_public_surface_is_exactly_the_solver_kernel():
     ]
     for name in lenshf.__all__:
         getattr(lenshf, name)
-    assert list(inspect.signature(factor).parameters) == ["m", "rounds"]
+    signatures = {
+        "is_prime": ["m"],
+        "factor": ["m"],
+        "find_prime_shift": ["lens", "pair"],
+        "solve_n2": ["lens", "fact"],
+        "solve_n3": ["lens"],
+        "minimal_planar_boundaries": ["lens", "fact"],
+    }
+    for name, params in signatures.items():
+        assert list(inspect.signature(getattr(lenshf, name)).parameters) == params, name
+    for name in ("solve_n2", "minimal_planar_boundaries"):
+        fact = inspect.signature(getattr(lenshf, name)).parameters["fact"]
+        assert fact.kind is inspect.Parameter.KEYWORD_ONLY and fact.default is None, name

@@ -197,13 +197,6 @@ def test_sqrt_mod_prime_detects_composite_modulus():
         sqrt_mod_prime(2, 15)
 
 
-def test_is_prime_rejects_fewer_than_one_round():
-    for rounds in (0, -1):
-        for m in (7, 2**89 - 1, 2**87 - 1):
-            with pytest.raises(DomainError):
-                is_prime(m, rounds)
-
-
 # --- factor ------------------------------------------------------------------
 
 def _count_calls(monkeypatch, name):
@@ -254,11 +247,10 @@ def test_factor_runs_exactly_the_requested_rounds(monkeypatch):
     calls = _count_calls(monkeypatch, "_mr_witness")
     m = 2**127 - 1  # Mersenne prime above MR_DETERMINISTIC_BOUND
     for rounds in (1, 5):
+        monkeypatch.setattr(numtheory, "MR_ROUNDS", rounds)
         calls[0] = 0
-        assert factor(m, rounds).factors == ((m, 1),)
+        assert factor(m).factors == ((m, 1),)
         assert calls[0] == rounds
-    with pytest.raises(DomainError):
-        factor(m, 0)
 
 
 def test_factor_effort_cap(monkeypatch):

@@ -100,11 +100,10 @@ def test_find_prime_shift_postcondition():
         assert p * shift.s_prime - q_tilde * shift.q_prime == 1
 
 
-def test_find_prime_shift_cap_exhaustion():
-    with pytest.raises(ResourceError):
-        find_prime_shift(LensSpace(3, 1), bezout(LensSpace(3, 1)), cap=1)
-    with pytest.raises(DomainError):
-        find_prime_shift(LensSpace(3, 1), bezout(LensSpace(3, 1)), cap=0)
+def test_find_prime_shift_cap_exhaustion(monkeypatch):
+    monkeypatch.setattr(lenshf.solver, "PRIME_SHIFT_CAP", 1)
+    with pytest.raises(ResourceError, match="PRIME_SHIFT_CAP"):
+        find_prime_shift(LensSpace(3, 1), bezout(LensSpace(3, 1)))
 
 
 # --- solve_n3 ----------------------------------------------------------------
@@ -219,9 +218,10 @@ def test_solve_n3_eps_is_the_unique_residue_sign():
         assert (trace.D + trace.z0 * trace.z0) % trace.n_form == 0
 
 
-def test_solve_n3_resource_error_carries_no_witness():
+def test_solve_n3_resource_error_carries_no_witness(monkeypatch):
+    monkeypatch.setattr(lenshf.solver, "PRIME_SHIFT_CAP", 1)
     with pytest.raises(ResourceError):
-        solve_n3(LensSpace(3, 1), cap=1)
+        solve_n3(LensSpace(3, 1))
 
 
 # --- minimal_planar_boundaries -----------------------------------------------
