@@ -109,59 +109,52 @@ def is_prime(m: int) -> bool:
 def sqrt_mod_prime(a: int, prime: int) -> int | None:
     """Square root of a modulo a prime, or None when a is a non-residue.
 
-    Returns the smaller root min(z, prime - z).  Uses the a**((prime+1)/4)
-    shortcut when prime ≡ 3 (mod 4), Tonelli-Shanks otherwise.  The caller
-    vouches for primality; compositeness detected mid-computation raises
-    IntegrityError.
+    Returns the smaller root min(z, prime - z).  One Tonelli-Shanks path
+    serves every prime: with prime - 1 = q * 2**s, q odd, the one power
+    a**((q-1)/2) gives z = a**((q+1)/2) and t = a**q, so z*z ≡ a*t, and
+    Euler's criterion is t**(2**(s-1)).  Each step scales z by some b and
+    t by b*b, which keeps z*z ≡ a*t, until t = 1 and z is the root; for
+    prime ≡ 3 (mod 4) (s = 1) t starts at 1.  The caller vouches for
+    primality; compositeness detected mid-computation raises IntegrityError.
     """
+    if prime < 2:
+        raise DomainError(f"modulus must be >= 2, got {prime}")
     a %= prime
-    if prime == 2:
-        return a
     if a == 0:
         return 0
-    euler = pow(a, (prime - 1) // 2, prime)
-    if euler == prime - 1:
-        return None
-    if euler != 1:
-        raise IntegrityError(f"modulus {prime} is not prime (Euler criterion)")
-    if prime % 4 == 3:
-        z = pow(a, (prime + 1) // 4, prime)
-        if z * z % prime != a:
-            raise IntegrityError(f"modulus {prime} is not prime (shortcut failed)")
-        return min(z, prime - z)
-    # Tonelli-Shanks
     q, s = prime - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    nonres = None
-    for c in range(2, prime):
-        j = jacobi(c, prime)
-        if j == -1:
-            nonres = c
-            break
-        if j == 0:
-            raise IntegrityError(f"modulus {prime} is not prime ({c} divides it)")
-    if nonres is None:
-        raise IntegrityError(f"modulus {prime} is not prime (no non-residue)")
-    c = pow(nonres, q, prime)
-    z = pow(a, (q + 1) // 2, prime)
-    t = pow(a, q, prime)
-    m = s
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % prime
-            i += 1
-            if i == m:
-                raise IntegrityError(f"modulus {prime} is not prime (TS loop)")
-        b = pow(c, 1 << (m - i - 1), prime)
-        z = z * b % prime
-        c = b * b % prime
-        t = t * c % prime
-        m = i
-    if z * z % prime != a:
-        raise IntegrityError(f"modulus {prime} is not prime (root check)")
+    w = pow(a, (q - 1) // 2, prime)
+    z = w * a % prime
+    t = w * z % prime
+    euler = pow(t, 1 << s >> 1, prime)  # exponent 0 at prime 2, where s = 0 and t = 1
+    if euler != 1:  # tested first: at prime 2, 1 is also prime - 1
+        if euler == prime - 1:
+            return None
+        raise IntegrityError(f"modulus {prime} is not prime (Euler criterion)")
+    if t != 1:
+        for c in range(2, prime):  # a prime has a non-residue below it, a composite a factor
+            j = jacobi(c, prime)
+            if j == -1:
+                break
+            if j == 0:
+                raise IntegrityError(f"modulus {prime} is not prime ({c} divides it)")
+        c = pow(c, q, prime)
+        m = s
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % prime
+                i += 1
+                if i == m:
+                    raise IntegrityError(f"modulus {prime} is not prime (TS loop)")
+            b = pow(c, 1 << (m - i - 1), prime)
+            z = z * b % prime
+            c = b * b % prime
+            t = t * c % prime
+            m = i
     return min(z, prime - z)
 
 

@@ -90,8 +90,8 @@ def solve_n3(lens: LensSpace) -> Certificate:
     """Certificate with two boundary pairs (n = 2) and its construction
     trace; ResourceError only past PRIME_SHIFT_CAP prime-search shifts.
 
-    Pipeline: Bezout pair; prime shift q' ≡ 3 (mod 4); the sign eps with
-    jacobi(eps*p, q') = +1 (exactly one works since q' ≡ 3 mod 4);
+    Pipeline: Bezout pair; prime shift q' ≡ 3 (mod 4); the sign
+    eps = jacobi(p, q'), so jacobi(eps*p, q') = +1 as q' ≡ 3 (mod 4);
     z = sqrt of eps*p mod q'; z' = z^{-1}; eps' = -eps.  The congruence
     -z0^2 ≡ eps'*s' (mod q') holds for z0 = ±z', and the representing form
     (n_form, z0, C0) fills the witness a = (w, 0), t = [C0, n_form],
@@ -108,10 +108,7 @@ def solve_n3(lens: LensSpace) -> Certificate:
     s, r = pair.s, pair.r
     shift = find_prime_shift(lens, pair)
     qp = shift.q_prime
-    j_plus = jacobi(p, qp)
-    if j_plus == 0:
-        raise IntegrityError(f"{qp} shares a factor with p = {p}")
-    eps = 1 if j_plus == 1 else -1
+    eps = jacobi(p, qp)  # ±1: q' is prime to p, as q and r are
     z = sqrt_mod_prime(eps * p % qp, qp)
     if z is None:
         raise IntegrityError(f"{eps}*{p} unexpectedly a non-residue mod {qp}")

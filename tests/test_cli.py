@@ -102,6 +102,14 @@ def test_analyze_resource_error_exit_3(capsys, monkeypatch):
     assert code == 3 and "resource" in err
 
 
+def test_analyze_integrity_error_exit_3(capsys, monkeypatch):
+    # a primality test that passes 15 as the shifted prime q' = 2 + 13
+    monkeypatch.setattr(lenshf.solver, "is_prime", lambda m: True)
+    code, out, err = run_cli(capsys, "analyze", "13", "2")
+    assert code == 3 and out == ""
+    assert "integrity failure: modulus 15 is not prime" in err
+
+
 def test_usage_errors_exit_64(capsys):
     code, _, _ = run_cli(capsys, "analyze", "5")
     assert code == 64
@@ -259,6 +267,18 @@ def test_verify_tampered_witness_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(data), encoding="utf-8")
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 1
+
+
+def test_verify_certificate_marked_invalid_exit_1(tmp_path, capsys):
+    # the stored det matches, but the certificate does not claim a witness
+    for p, q, a, t, det in (("5", "2", "0", "0", "0"), ("7", "3", "3", "-4", "-1")):
+        data = {"p": p, "q": q, "n": "1", "a": [a], "t": [t], "l": [["0"]],
+                "det": det, "valid": False}
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1, p
+        assert f"L({p},{q}) is not a witness: determinant {det}" in out, p
 
 
 def test_verify_truncated_json_exit_65(tmp_path, capsys):

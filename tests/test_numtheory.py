@@ -151,8 +151,12 @@ def test_is_prime_on_large_known_values():
 def test_sqrt_mod_prime_known_values():
     assert sqrt_mod_prime(2, 7) == 3
     assert sqrt_mod_prime(3, 7) is None
+    assert sqrt_mod_prime(3, 2) == 1
     for p in (2, 3, 5, 7, 11, 10007):
         assert sqrt_mod_prime(0, p) == 0
+    for bad in (1, 0, -7):
+        with pytest.raises(DomainError, match="modulus must be >= 2"):
+            sqrt_mod_prime(3, bad)
 
 
 def test_sqrt_mod_prime_agrees_with_scan_below_541():
@@ -181,7 +185,8 @@ def test_sqrt_mod_prime_sampled_up_to_1e4():
 
 
 def test_sqrt_mod_prime_shortcut_is_exact_for_3_mod_4_primes():
-    # for p ≡ 3 (mod 4) and a a residue, (a^((p+1)/4))² ≡ a
+    # for p ≡ 3 (mod 4) and a a residue, (a^((p+1)/4))² ≡ a, and Tonelli-Shanks
+    # with s = 1 returns that root with no step
     for p in _primes_below(1000):
         if p % 4 != 3:
             continue
@@ -190,11 +195,18 @@ def test_sqrt_mod_prime_shortcut_is_exact_for_3_mod_4_primes():
                 continue
             z = pow(a, (p + 1) // 4, p)
             assert z * z % p == a
+            assert sqrt_mod_prime(a, p) == min(z, p - z)
 
 
 def test_sqrt_mod_prime_detects_composite_modulus():
-    with pytest.raises(IntegrityError):
-        sqrt_mod_prime(2, 15)
+    for a, m, detector in (
+        (2, 15, "Euler criterion"),
+        (2, 9, "Euler criterion"),
+        (8, 9, "3 divides it"),
+        (8, 21, "TS loop"),
+    ):
+        with pytest.raises(IntegrityError, match=detector):
+            sqrt_mod_prime(a, m)
 
 
 # --- factor ------------------------------------------------------------------
@@ -272,6 +284,8 @@ def test_factorization_validates_itself():
         Factorization(12, ((3, 1), (2, 2)))  # out of order
     with pytest.raises(DomainError):
         Factorization(16, ((4, 2),))  # composite "prime"
+    with pytest.raises(DomainError):
+        Factorization(4, ((2, 0),))  # zero exponent
     with pytest.raises(DomainError):
         Factorization(-3, ())
 

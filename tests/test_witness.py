@@ -99,6 +99,7 @@ def test_det_exact_handles_zero_pivots():
         [0, 0, 0, 0, 1],
     ]
     assert det_exact(m) == 1  # two row swaps
+    assert det_exact([[0] + row[1:] for row in m]) == 0  # no pivot in column 0
     assert det_exact([[0, 0], [0, 0]]) == 0
 
 
@@ -257,7 +258,7 @@ def test_json_accepts_raw_integers():
 
 
 def test_json_rejects_malformed_structure():
-    good = certificate_to_dict(_sample_cert())
+    good = certificate_to_dict(_sample_cert(with_trace_data=True))
     for breakage in (
         lambda d: d.pop("det"),
         lambda d: d.__setitem__("n", "3"),
@@ -267,6 +268,7 @@ def test_json_rejects_malformed_structure():
         lambda d: d.__setitem__("a", "10"),
         lambda d: d.__setitem__("p", "0_5"),
         lambda d: d.__setitem__("p", "\u0665"),  # Arabic-Indic digit five
+        lambda d: d.__setitem__("trace", {**d["trace"], "branch": 1}),
     ):
         d = {k: (v[:] if isinstance(v, list) else v) for k, v in good.items()}
         breakage(d)
