@@ -83,7 +83,8 @@ def is_prime(m: int) -> bool:
 
     Deterministic (13 fixed bases) below MR_DETERMINISTIC_BOUND; above it,
     probabilistic with MR_ROUNDS (64) random bases.  The base stream for
-    large inputs is seeded from the input, so results are reproducible.
+    large inputs is seeded from the input, so results are reproducible, and
+    drawn one base at a time, so a composite stops at its first witness.
     """
     if m < 2:
         return False
@@ -102,7 +103,7 @@ def is_prime(m: int) -> bool:
         bases = _MR_DETERMINISTIC_BASES
     else:
         rng = random.Random(m)
-        bases = tuple(rng.randrange(2, m - 1) for _ in range(MR_ROUNDS))
+        bases = (rng.randrange(2, m - 1) for _ in range(MR_ROUNDS))
     return not any(_mr_witness(m, d, s, b) for b in bases)
 
 
@@ -115,10 +116,13 @@ def sqrt_mod_prime(a: int, prime: int) -> int | None:
     Euler's criterion is t**(2**(s-1)).  Each step scales z by some b and
     t by b*b, which keeps z*z ≡ a*t, until t = 1 and z is the root; for
     prime ≡ 3 (mod 4) (s = 1) t starts at 1.  The caller vouches for
-    primality; compositeness detected mid-computation raises IntegrityError.
+    primality; an even modulus above 2, or compositeness detected
+    mid-computation, raises IntegrityError.
     """
     if prime < 2:
         raise DomainError(f"modulus must be >= 2, got {prime}")
+    if prime % 2 == 0 and prime > 2:
+        raise IntegrityError(f"modulus {prime} is not prime (2 divides it)")
     a %= prime
     if a == 0:
         return 0

@@ -73,12 +73,18 @@ def solve_n2(lens: LensSpace, *, fact: Factorization | None = None) -> Certifica
     Solves q*a^2 ≡ δ (mod p) for δ = +1 then -1, preferring the +1 branch
     and the smallest root a; t = (δ - q*a^2)/p is exact.  The certificate's
     det is the sign δ.  fact is the factorization of p, computed here when
-    None; one of another number raises DomainError.
+    None; one of another number raises DomainError.  Before computing it,
+    None is returned when jacobi(q, p) = jacobi(-q, p) = -1, i.e. p ≡ 1
+    (mod 4) and jacobi(q, p) = -1: a square mod p is a square mod every
+    prime factor of p, so its Jacobi symbol is +1, and neither ±q^{-1} can
+    be one.  So p is factored only when a sign may still give a square.
     """
     p, q = lens.p, lens.q
-    qinv = mod_inv(q, p)
     if fact is None:
+        if p % 4 == 1 and jacobi(q, p) == -1:  # jacobi(-1, p) = +1 here
+            return None
         fact = factor(p)
+    qinv = mod_inv(q, p)
     for delta in (1, -1):
         a = sqrt_mod(delta * qinv % p, p, fact)
         if a is not None:

@@ -14,6 +14,7 @@ from math import gcd
 import pytest
 
 import lenshf.cli
+import lenshf.numtheory
 import lenshf.solver
 from lenshf.cli import main
 from lenshf.lens import LensSpace
@@ -100,6 +101,24 @@ def test_analyze_resource_error_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(lenshf.solver, "PRIME_SHIFT_CAP", 1)
     code, _, err = run_cli(capsys, "analyze", "5", "2")
     assert code == 3 and "resource" in err
+
+
+def test_analyze_count_three_of_an_unfactorable_p_by_jacobi_symbols(capsys):
+    # (7|p) = (-7|p) = -1 decides count 3 without splitting p, which
+    # Pollard-Brent cannot do within numtheory.FACTOR_EFFORT
+    p = (10**24 + 49) * (10**24 + 121)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", str(p), "7")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "3 boundary components" in out
+
+
+def test_analyze_unfactorable_p_with_a_plus_one_symbol_exit_3(capsys, monkeypatch):
+    # p ≡ 3 (mod 4), so (-1|p) = -1 and one of (±2|p) is +1: p must be factored
+    monkeypatch.setattr(lenshf.numtheory, "FACTOR_EFFORT", 1000)
+    p = (10**24 + 7) * (10**24 + 49)
+    code, out, err = run_cli(capsys, "analyze", str(p), "2")
+    assert code == 3 and out == "" and "resource" in err
 
 
 def test_analyze_integrity_error_exit_3(capsys, monkeypatch):

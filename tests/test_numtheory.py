@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import time
 from math import gcd, prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -209,6 +210,15 @@ def test_sqrt_mod_prime_detects_composite_modulus():
             sqrt_mod_prime(a, m)
 
 
+def test_sqrt_mod_prime_names_an_even_modulus_as_not_prime():
+    for a, m in ((5, 6), (1, 4), (0, 4), (1, 8), (3, 10)):
+        with pytest.raises(IntegrityError, match=f"modulus {m} is not prime \\(2 divides it\\)"):
+            sqrt_mod_prime(a, m)
+    assert sqrt_mod_prime(1, 2) == 1
+    assert sqrt_mod_prime(0, 2) == 0
+    assert sqrt_mod_prime(3, 2) == 1
+
+
 # --- factor ------------------------------------------------------------------
 
 def _count_calls(monkeypatch, name):
@@ -263,6 +273,35 @@ def test_factor_runs_exactly_the_requested_rounds(monkeypatch):
         calls[0] = 0
         assert factor(m).factors == ((m, 1),)
         assert calls[0] == rounds
+
+
+def test_is_prime_draws_random_bases_only_as_needed(monkeypatch):
+    # above MR_DETERMINISTIC_BOUND the bases come from random.Random(m) in
+    # order, drawn one at a time: a composite stops at its first witness
+    drawn, tested = [], []
+
+    class Recording(random.Random):
+        def randrange(self, *args):
+            drawn.append(super().randrange(*args))
+            return drawn[-1]
+
+    original = numtheory._mr_witness
+
+    def witness(n, d, s, base):
+        tested.append(base)
+        return original(n, d, s, base)
+
+    monkeypatch.setattr(numtheory, "random", SimpleNamespace(Random=Recording))
+    monkeypatch.setattr(numtheory, "_mr_witness", witness)
+    m = 2**127 - 1
+    assert is_prime(m)
+    rng = random.Random(m)
+    assert tested == drawn == [rng.randrange(2, m - 1) for _ in range(numtheory.MR_ROUNDS)]
+    drawn.clear()
+    tested.clear()
+    m = (2**89 - 1) * (2**61 - 1)
+    assert not is_prime(m)
+    assert tested == drawn == [random.Random(m).randrange(2, m - 1)]
 
 
 def test_factor_effort_cap(monkeypatch):

@@ -351,3 +351,44 @@ def test_factorization_of_another_number_is_rejected():
     with pytest.raises(DomainError):
         solve_n2(LensSpace(7, 3), fact=factor(5))
 
+
+# --- count 3 from the Jacobi symbols of ±q -----------------------------------
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    original = getattr(lenshf.solver, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lenshf.solver, name, wrapper)
+    return calls
+
+
+def test_count_three_by_jacobi_symbols_factors_nothing(monkeypatch):
+    calls = _count_calls(monkeypatch, "factor")
+    p512, q512 = next(param.values[:2] for param in _GOLDEN_CERTIFICATES if param.id == "q-branch-512")
+    for p, q in ((5, 2), (p512, q512)):
+        assert jacobi(q, p) == jacobi(-q, p) == -1
+        assert minimal_planar_boundaries(LensSpace(p, q))[0] == 3
+    assert calls[0] == 0
+    assert minimal_planar_boundaries(LensSpace(7, 3))[0] == 2
+    assert calls[0] == 1
+
+
+def test_count_three_with_a_plus_one_symbol_still_solves(monkeypatch):
+    # (2|15) = (2|3)(2|5) = +1, yet 2 is a square mod neither 3 nor 5
+    calls = _count_calls(monkeypatch, "sqrt_mod")
+    assert jacobi(2, 15) == 1
+    assert minimal_planar_boundaries(LensSpace(15, 2))[0] == 3
+    assert calls[0] >= 1
+
+
+def test_solve_n2_without_a_factorization_matches_with_one():
+    for p in range(3, 300, 2):
+        fact = factor(p)
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                lens = LensSpace(p, q)
+                assert solve_n2(lens) == solve_n2(lens, fact=fact), (p, q)
