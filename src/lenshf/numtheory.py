@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt, prod
 
 from .errors import DomainError, IntegrityError, NotInvertibleError, ResourceError
 
@@ -22,17 +22,26 @@ MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_ROUNDS = 64
 
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97,
-)
-
 TRIAL_BOUND = 10_000
 FACTOR_EFFORT = 4_000_000
 
 # sqrt_mod's CRT lists every root combination: 2^18 (18 odd primes) takes about
 # 0.2 s and +22 MB peak RSS on a 2-vCPU host, and each further prime doubles both.
 SQRT_MOD_MAX_COMBINATIONS = 1 << 18
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * n
+    for i in range(2, isqrt(n - 1) + 1):
+        sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    return tuple(i for i in range(2, n) if sieve[i])
+
+
+# The 1,229 primes below TRIAL_BOUND (sieved in under 1 ms) and their 14,277-bit
+# product, whose gcd with m is the product of m's distinct primes among them.
+_TRIAL_PRIMES = _primes_below(TRIAL_BOUND)
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
+_SMALL_PRIMES = _TRIAL_PRIMES[:25]  # the primes up to 97
 
 
 def mod_inv(a: int, m: int) -> int:
@@ -81,10 +90,11 @@ def _mr_witness(n: int, d: int, s: int, base: int) -> bool:
 def is_prime(m: int) -> bool:
     """Miller-Rabin primality.
 
-    Deterministic (13 fixed bases) below MR_DETERMINISTIC_BOUND; above it,
-    probabilistic with MR_ROUNDS (64) random bases.  The base stream for
-    large inputs is seeded from the input, so results are reproducible, and
-    drawn one base at a time, so a composite stops at its first witness.
+    Deterministic (13 fixed bases) below MR_DETERMINISTIC_BOUND.  Above it,
+    one gcd with the product of the primes below TRIAL_BOUND rejects m with
+    such a factor before any round; the rest get MR_ROUNDS (64) random
+    bases, seeded from m and drawn one at a time, so results are
+    reproducible and a composite stops at its first witness.
     """
     if m < 2:
         return False
@@ -95,15 +105,17 @@ def is_prime(m: int) -> bool:
             return False
     if m < 101 * 101:  # no prime factor up to 97, and 101 is the next prime
         return True
+    if m < MR_DETERMINISTIC_BOUND:
+        bases = _MR_DETERMINISTIC_BASES
+    elif gcd(m, _TRIAL_PRODUCT) != 1:  # m > TRIAL_BOUND, so a proper factor
+        return False
+    else:
+        rng = random.Random(m)
+        bases = (rng.randrange(2, m - 1) for _ in range(MR_ROUNDS))
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    if m < MR_DETERMINISTIC_BOUND:
-        bases = _MR_DETERMINISTIC_BASES
-    else:
-        rng = random.Random(m)
-        bases = (rng.randrange(2, m - 1) for _ in range(MR_ROUNDS))
     return not any(_mr_witness(m, d, s, b) for b in bases)
 
 
@@ -231,27 +243,25 @@ def _pollard_brent(n: int, budget: list[int]) -> int:
 def factor(m: int) -> Factorization:
     """Full prime factorization of m >= 1.
 
-    Trial division up to TRIAL_BOUND, then Pollard rho (Brent).  Every
-    remaining piece is certified once, by is_prime(piece), and the
-    result is built without certifying it again.  Spending more than
+    One gcd with the product of the primes below TRIAL_BOUND names the
+    small primes, which are divided out; Pollard rho (Brent) splits the
+    rest.  Every remaining piece is certified once, by is_prime(piece), and
+    the result is built without certifying it again.  Spending more than
     FACTOR_EFFORT Pollard-Brent iterations raises ResourceError.
     """
     if m < 1:
         raise DomainError(f"factor() needs m >= 1, got {m}")
     counts: dict[int, int] = {}
     rem = m
-    for p in (2, 3, 5):
-        while rem % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            rem //= p
-    # wheel over 6k±1
-    d = 7
-    while d <= TRIAL_BOUND and d * d <= rem:
-        for cand in (d - 2, d):
-            while rem % cand == 0:
-                counts[cand] = counts.get(cand, 0) + 1
-                rem //= cand
-        d += 6
+    g = gcd(rem, _TRIAL_PRODUCT)
+    for p in _TRIAL_PRIMES:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            while rem % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                rem //= p
     budget = [FACTOR_EFFORT]
     stack = [rem] if rem > 1 else []
     while stack:

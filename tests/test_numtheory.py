@@ -275,9 +275,8 @@ def test_factor_runs_exactly_the_requested_rounds(monkeypatch):
         assert calls[0] == rounds
 
 
-def test_is_prime_draws_random_bases_only_as_needed(monkeypatch):
-    # above MR_DETERMINISTIC_BOUND the bases come from random.Random(m) in
-    # order, drawn one at a time: a composite stops at its first witness
+def _record_bases(monkeypatch):
+    """Lists that fill with the bases is_prime draws and the bases it tests."""
     drawn, tested = [], []
 
     class Recording(random.Random):
@@ -293,6 +292,13 @@ def test_is_prime_draws_random_bases_only_as_needed(monkeypatch):
 
     monkeypatch.setattr(numtheory, "random", SimpleNamespace(Random=Recording))
     monkeypatch.setattr(numtheory, "_mr_witness", witness)
+    return drawn, tested
+
+
+def test_is_prime_draws_random_bases_only_as_needed(monkeypatch):
+    # above MR_DETERMINISTIC_BOUND the bases come from random.Random(m) in
+    # order, drawn one at a time: a composite stops at its first witness
+    drawn, tested = _record_bases(monkeypatch)
     m = 2**127 - 1
     assert is_prime(m)
     rng = random.Random(m)
@@ -302,6 +308,77 @@ def test_is_prime_draws_random_bases_only_as_needed(monkeypatch):
     m = (2**89 - 1) * (2**61 - 1)
     assert not is_prime(m)
     assert tested == drawn == [random.Random(m).randrange(2, m - 1)]
+
+
+# --- the product of the primes below TRIAL_BOUND ------------------------------
+
+def test_small_primes_are_the_primes_below_100():
+    # is_prime answers from them alone below 101**2
+    assert numtheory._SMALL_PRIMES == tuple(_primes_below(100))
+    assert len(numtheory._SMALL_PRIMES) == 25
+
+
+def test_is_prime_screen_rejects_a_factor_below_trial_bound_before_any_base(monkeypatch):
+    drawn, tested = _record_bases(monkeypatch)
+    p = 2**127 - 1  # Mersenne prime above MR_DETERMINISTIC_BOUND
+    assert not is_prime(9973 * p)  # 9973 is the largest prime below TRIAL_BOUND
+    assert drawn == tested == []
+    assert not is_prime(10007 * p)  # 10007 is the next prime: Miller-Rabin finds it
+    assert len(drawn) == len(tested) == 1
+    drawn.clear()
+    tested.clear()
+    assert is_prime(p)
+    assert len(drawn) == len(tested) == numtheory.MR_ROUNDS
+    # below MR_DETERMINISTIC_BOUND the fixed bases run, with no screen
+    drawn.clear()
+    tested.clear()
+    assert not is_prime(9973 * 1_000_003)
+    assert drawn == [] and tested == [2]
+
+
+@pytest.mark.parametrize("bits", [90, 128, 256, 512])
+def test_is_prime_agrees_with_sympy_on_random_odd_values(bits):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(bits)
+    values = [rng.getrandbits(bits) | 1 << (bits - 1) | 1 for _ in range(300)]
+    values.append(sympy.nextprime(values[0]))
+    for m in values:
+        assert is_prime(m) == sympy.isprime(m), m
+
+
+def test_is_prime_agrees_with_sympy_past_the_deterministic_bound():
+    sympy = pytest.importorskip("sympy")
+    start = numtheory.MR_DETERMINISTIC_BOUND
+    primes = [m for m in range(start, start + 3000) if sympy.isprime(m)]
+    assert len(primes) > 20
+    assert [m for m in range(start, start + 3000) if is_prime(m)] == primes
+
+
+def test_factor_agrees_with_sympy_below_20000_and_on_30_to_64_bits():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(18)
+    values = list(range(1, 20000))
+    for _ in range(300):
+        bits = rng.randint(30, 64)
+        values.append(rng.getrandbits(bits) | 1 << (bits - 1))
+    for m in values:
+        assert factor(m).factors == tuple(sorted(sympy.factorint(m).items())), m
+
+
+def test_factor_at_the_edges_of_the_trial_primes(monkeypatch):
+    # the primes below TRIAL_BOUND leave with their multiplicity, so only
+    # the cofactor above it is certified
+    sympy = pytest.importorskip("sympy")
+    calls = _count_calls(monkeypatch, "is_prime")
+    for m, expected, certified in (
+        (2**40 * 3**5 * 5**3, ((2, 40), (3, 5), (5, 3)), 0),
+        (9973**3 * 10007, ((9973, 3), (10007, 1)), 1),
+        (9967 * 9973 * (2**61 - 1), ((9967, 1), (9973, 1), (2**61 - 1, 1)), 1),
+    ):
+        calls[0] = 0
+        assert factor(m).factors == expected
+        assert calls[0] == certified
+        assert dict(expected) == sympy.factorint(m)
 
 
 def test_factor_effort_cap(monkeypatch):
