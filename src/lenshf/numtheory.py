@@ -6,11 +6,13 @@ floating point is used anywhere.  All functions are pure and safe to call
 concurrently.  Square roots are normalized so results are deterministic:
 sqrt_mod_prime returns min(z, pi - z) and sqrt_mod returns the smallest
 nonnegative root of the congruence.
+
+Primality is proven below MR_DETERMINISTIC_BOUND and Baillie-PSW tested
+above it, so factor's pieces there are probable primes.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
@@ -20,7 +22,6 @@ from .errors import DomainError, IntegrityError, NotInvertibleError, ResourceErr
 # deterministic primality test.
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MR_ROUNDS = 64
 
 TRIAL_BOUND = 10_000
 FACTOR_EFFORT = 4_000_000
@@ -87,14 +88,56 @@ def _mr_witness(n: int, d: int, s: int, base: int) -> bool:
     return True
 
 
+def _strong_lucas_prp(m: int) -> bool:
+    """Strong Lucas probable-prime test of odd m > 1, Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D|m) = -1, P = 1 and
+    Q = (1 - D)/4; a perfect square has no such D and is rejected first.
+    With m + 1 = d * 2**s, d odd, m passes when U_d ≡ 0 or V_(d*2**r) ≡ 0
+    for some r < s.  For the roots a, b of x*x - x + Q and c = a/b these
+    read c**d = 1, c**d = -1 and c**(d*2**r) = -1.  So the chain runs on
+    V'_k = c**k + c**-k, the Lucas sequence with P' = 1/Q - 2 and Q' = 1,
+    whose steps need no power of Q: V'_2k = V'_k**2 - 2 and
+    V'_(2k+1) = V'_k * V'_(k+1) - P'.  c**d = ±1 exactly when V'_d ≡ ±2
+    and U'_d ≡ 0, where D' * U'_d = 2 * V'_(d+1) - P' * V'_d and D' is a
+    unit; for r >= 1, c**(d*2**r) = -1 exactly when V'_(d*2**(r-1)) ≡ 0.
+    """
+    if isqrt(m) ** 2 == m:
+        return False
+    D = 5
+    while (j := jacobi(D, m)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    if j == 0:  # a factor |D|, or m = |D| itself
+        return m == abs(D)
+    # Q = (1 - D)/4 is prime to m: each odd prime of Q (9 for 3) came before D
+    p = (pow((1 - D) // 4, -1, m) - 2) % m
+    d, s = m + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    v, w = p, (p * p - 2) % m  # (V'_k, V'_(k+1)) from k = 1, over the bits of d
+    for bit in bin(d)[3:]:
+        if bit == "1":
+            v, w = (v * w - p) % m, (w * w - 2) % m
+        else:
+            v, w = (v * v - 2) % m, (v * w - p) % m
+    if (2 * w - p * v) % m == 0 and v in (2, m - 2):
+        return True
+    for _ in range(s - 1):
+        if v == 0:
+            return True
+        v = (v * v - 2) % m
+    return False
+
+
 def is_prime(m: int) -> bool:
-    """Miller-Rabin primality.
+    """Miller-Rabin primality, then Baillie-PSW above the deterministic range.
 
     Deterministic (13 fixed bases) below MR_DETERMINISTIC_BOUND.  Above it,
     one gcd with the product of the primes below TRIAL_BOUND rejects m with
-    such a factor before any round; the rest get MR_ROUNDS (64) random
-    bases, seeded from m and drawn one at a time, so results are
-    reproducible and a composite stops at its first witness.
+    such a factor; the rest get one strong round to base 2 and, if they
+    pass it, one strong Lucas test (_strong_lucas_prp).  No composite is
+    known to pass both, and none exists below 2**64.
     """
     if m < 2:
         return False
@@ -105,18 +148,15 @@ def is_prime(m: int) -> bool:
             return False
     if m < 101 * 101:  # no prime factor up to 97, and 101 is the next prime
         return True
-    if m < MR_DETERMINISTIC_BOUND:
-        bases = _MR_DETERMINISTIC_BASES
-    elif gcd(m, _TRIAL_PRODUCT) != 1:  # m > TRIAL_BOUND, so a proper factor
-        return False
-    else:
-        rng = random.Random(m)
-        bases = (rng.randrange(2, m - 1) for _ in range(MR_ROUNDS))
+    if m >= MR_DETERMINISTIC_BOUND and gcd(m, _TRIAL_PRODUCT) != 1:
+        return False  # m > TRIAL_BOUND, so a proper factor
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    return not any(_mr_witness(m, d, s, b) for b in bases)
+    if m < MR_DETERMINISTIC_BOUND:
+        return not any(_mr_witness(m, d, s, b) for b in _MR_DETERMINISTIC_BASES)
+    return not _mr_witness(m, d, s, 2) and _strong_lucas_prp(m)
 
 
 def sqrt_mod_prime(a: int, prime: int) -> int | None:
@@ -130,6 +170,12 @@ def sqrt_mod_prime(a: int, prime: int) -> int | None:
     prime ≡ 3 (mod 4) (s = 1) t starts at 1.  The caller vouches for
     primality; an even modulus above 2, or compositeness detected
     mid-computation, raises IntegrityError.
+
+    None proves that a is a non-residue for any odd modulus m, prime or
+    not: it means a**((m-1)/2) ≡ -1, which forces (a|m) = -1.  With
+    t = v2(m-1), each prime P | m has v2(ord_P a) = t, and (a|P) = -1
+    exactly when v2(P-1) = t; m ≡ 1 + 2**t (mod 2**(t+1)) makes those P,
+    counted with multiplicity, odd in number.
     """
     if prime < 2:
         raise DomainError(f"modulus must be >= 2, got {prime}")
@@ -178,8 +224,8 @@ def sqrt_mod_prime(a: int, prime: int) -> int | None:
 class Factorization:
     """value = product of prime**exp over factors; factors strictly increasing.
 
-    Construction checks all of this, primality included; only factor(),
-    which has just proved each prime, skips the checks.
+    Construction checks all of this, primality by is_prime included; only
+    factor(), which has just tested each prime, skips the checks.
     """
 
     value: int
@@ -245,8 +291,8 @@ def factor(m: int) -> Factorization:
 
     One gcd with the product of the primes below TRIAL_BOUND names the
     small primes, which are divided out; Pollard rho (Brent) splits the
-    rest.  Every remaining piece is certified once, by is_prime(piece), and
-    the result is built without certifying it again.  Spending more than
+    rest.  Every remaining piece is tested once, by is_prime(piece), and
+    the result is built without testing it again.  Spending more than
     FACTOR_EFFORT Pollard-Brent iterations raises ResourceError.
     """
     if m < 1:
@@ -272,7 +318,7 @@ def factor(m: int) -> Factorization:
         g = _pollard_brent(n, budget)
         stack.append(g)
         stack.append(n // g)
-    fact = object.__new__(Factorization)  # skips __post_init__: proved above
+    fact = object.__new__(Factorization)  # skips __post_init__: tested above
     object.__setattr__(fact, "value", m)
     object.__setattr__(fact, "factors", tuple(sorted(counts.items())))
     return fact

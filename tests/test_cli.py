@@ -209,7 +209,7 @@ def test_table_factors_each_p_once_and_verifies_each_row_once(capsys, monkeypatc
 
 
 def test_removed_search_flags_exit_64_before_any_work(capsys, monkeypatch):
-    # the prime-search cap and the Miller-Rabin round count are module constants
+    # the prime-search cap is a module constant, and primality takes no round count
     counter = {"factor": 0, "minimal_planar_boundaries": 0}
     _counting(monkeypatch, lenshf.cli, "factor", counter)
     _counting(monkeypatch, lenshf.cli, "minimal_planar_boundaries", counter)

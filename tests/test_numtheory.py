@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 import time
 from math import gcd, prod
-from types import SimpleNamespace
 
 import pytest
 
@@ -265,49 +264,43 @@ def test_factor_certifies_each_prime_once(monkeypatch):
     assert calls[0] == 1
 
 
-def test_factor_runs_exactly_the_requested_rounds(monkeypatch):
-    calls = _count_calls(monkeypatch, "_mr_witness")
+def _record_rounds(monkeypatch):
+    """Lists that fill with the Miller-Rabin bases is_prime tests and the
+    values it passes to the strong Lucas test."""
+    bases, lucas = [], []
+    witness, strong_lucas = numtheory._mr_witness, numtheory._strong_lucas_prp
+
+    def record_witness(n, d, s, base):
+        bases.append(base)
+        return witness(n, d, s, base)
+
+    def record_lucas(n):
+        lucas.append(n)
+        return strong_lucas(n)
+
+    monkeypatch.setattr(numtheory, "_mr_witness", record_witness)
+    monkeypatch.setattr(numtheory, "_strong_lucas_prp", record_lucas)
+    return bases, lucas
+
+
+def test_factor_runs_one_base_2_round_and_one_lucas_test(monkeypatch):
+    bases, lucas = _record_rounds(monkeypatch)
     m = 2**127 - 1  # Mersenne prime above MR_DETERMINISTIC_BOUND
-    for rounds in (1, 5):
-        monkeypatch.setattr(numtheory, "MR_ROUNDS", rounds)
-        calls[0] = 0
-        assert factor(m).factors == ((m, 1),)
-        assert calls[0] == rounds
+    assert factor(m).factors == ((m, 1),)
+    assert bases == [2] and lucas == [m]
 
 
-def _record_bases(monkeypatch):
-    """Lists that fill with the bases is_prime draws and the bases it tests."""
-    drawn, tested = [], []
-
-    class Recording(random.Random):
-        def randrange(self, *args):
-            drawn.append(super().randrange(*args))
-            return drawn[-1]
-
-    original = numtheory._mr_witness
-
-    def witness(n, d, s, base):
-        tested.append(base)
-        return original(n, d, s, base)
-
-    monkeypatch.setattr(numtheory, "random", SimpleNamespace(Random=Recording))
-    monkeypatch.setattr(numtheory, "_mr_witness", witness)
-    return drawn, tested
-
-
-def test_is_prime_draws_random_bases_only_as_needed(monkeypatch):
-    # above MR_DETERMINISTIC_BOUND the bases come from random.Random(m) in
-    # order, drawn one at a time: a composite stops at its first witness
-    drawn, tested = _record_bases(monkeypatch)
+def test_is_prime_runs_the_lucas_test_only_after_base_2(monkeypatch):
+    # above MR_DETERMINISTIC_BOUND: Baillie-PSW, and a composite that base 2
+    # witnesses never reaches the Lucas test
+    bases, lucas = _record_rounds(monkeypatch)
     m = 2**127 - 1
     assert is_prime(m)
-    rng = random.Random(m)
-    assert tested == drawn == [rng.randrange(2, m - 1) for _ in range(numtheory.MR_ROUNDS)]
-    drawn.clear()
-    tested.clear()
-    m = (2**89 - 1) * (2**61 - 1)
-    assert not is_prime(m)
-    assert tested == drawn == [random.Random(m).randrange(2, m - 1)]
+    assert bases == [2] and lucas == [m]
+    bases.clear()
+    lucas.clear()
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
+    assert bases == [2] and lucas == []
 
 
 # --- the product of the primes below TRIAL_BOUND ------------------------------
@@ -319,21 +312,24 @@ def test_small_primes_are_the_primes_below_100():
 
 
 def test_is_prime_screen_rejects_a_factor_below_trial_bound_before_any_base(monkeypatch):
-    drawn, tested = _record_bases(monkeypatch)
+    bases, lucas = _record_rounds(monkeypatch)
     p = 2**127 - 1  # Mersenne prime above MR_DETERMINISTIC_BOUND
     assert not is_prime(9973 * p)  # 9973 is the largest prime below TRIAL_BOUND
-    assert drawn == tested == []
-    assert not is_prime(10007 * p)  # 10007 is the next prime: Miller-Rabin finds it
-    assert len(drawn) == len(tested) == 1
-    drawn.clear()
-    tested.clear()
+    assert bases == lucas == []
+    assert not is_prime(10007 * p)  # 10007 is the next prime: base 2 finds it
+    assert bases == [2] and lucas == []
+    bases.clear()
     assert is_prime(p)
-    assert len(drawn) == len(tested) == numtheory.MR_ROUNDS
-    # below MR_DETERMINISTIC_BOUND the fixed bases run, with no screen
-    drawn.clear()
-    tested.clear()
+    assert bases == [2] and lucas == [p]
+    # below MR_DETERMINISTIC_BOUND the fixed bases run, with no screen and no
+    # Lucas test
+    bases.clear()
+    lucas.clear()
     assert not is_prime(9973 * 1_000_003)
-    assert drawn == [] and tested == [2]
+    assert bases == [2] and lucas == []
+    bases.clear()
+    assert is_prime(2**61 - 1)
+    assert bases == list(numtheory._MR_DETERMINISTIC_BASES) and lucas == []
 
 
 @pytest.mark.parametrize("bits", [90, 128, 256, 512])
@@ -352,6 +348,112 @@ def test_is_prime_agrees_with_sympy_past_the_deterministic_bound():
     primes = [m for m in range(start, start + 3000) if sympy.isprime(m)]
     assert len(primes) > 20
     assert [m for m in range(start, start + 3000) if is_prime(m)] == primes
+
+
+# --- the two halves of Baillie-PSW ------------------------------------------
+
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199)  # OEIS A217255
+STRONG_BASE_2_PSEUDOPRIMES = (2047, 3277, 4033, 3215031751)
+# k with 6k+1, 12k+1 and 18k+1 all prime and their product, a Carmichael
+# number, above MR_DETERMINISTIC_BOUND
+CHERNICK_K = (13679106, 13679690, 13679815, 13680576, 13680921, 13681646)
+
+
+def _passes_base_2(m):
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    return not numtheory._mr_witness(m, d, s, 2)
+
+
+def test_strong_lucas_passes_exactly_the_odd_primes_and_a217255_below_30000():
+    primes = set(_primes_below(30000)) - {2}
+    passed = {m for m in range(3, 30000, 2) if numtheory._strong_lucas_prp(m)}
+    assert primes <= passed
+    assert sorted(passed - primes) == list(STRONG_LUCAS_PSEUDOPRIMES)
+    assert 10007 in passed and 5461 not in passed
+
+
+def test_strong_base_2_pseudoprimes_fail_the_lucas_test():
+    # 1093**2 and 3511**2 (Wieferich primes squared) pass base 2 too; the
+    # square guard rejects them
+    for m in STRONG_BASE_2_PSEUDOPRIMES + (1093**2, 3511**2):
+        assert _passes_base_2(m), m
+        assert not numtheory._strong_lucas_prp(m), m
+
+
+def test_strong_lucas_rejects_squares_before_searching_for_d(monkeypatch):
+    # every (D|p*p) is 0 or 1, so without the guard the search would not end
+    calls = [0]
+    original = numtheory.jacobi
+
+    def bounded(a, m):
+        calls[0] += 1
+        assert calls[0] < 100, "D search ran on a square"
+        return original(a, m)
+
+    monkeypatch.setattr(numtheory, "jacobi", bounded)
+    for p in (2**61 - 1, 2**89 - 1):
+        assert not numtheory._strong_lucas_prp(p * p)
+        assert not is_prime(p * p)
+    assert calls[0] == 0
+
+
+def test_chernick_numbers_above_the_bound_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    for k in CHERNICK_K:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        assert all(sympy.isprime(f) for f in factors), k
+        m = prod(factors)
+        assert m > numtheory.MR_DETERMINISTIC_BOUND
+        assert pow(2, m - 1, m) == 1  # a Fermat pseudoprime to every coprime base
+        assert is_prime(m) == sympy.isprime(m), k
+
+
+@pytest.mark.parametrize("bits", [82, 128, 256, 512])
+def test_strong_lucas_agrees_with_sympy_on_random_odd_values(bits):
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    rng = random.Random(1000 + bits)
+    values = [rng.getrandbits(bits) | 1 << (bits - 1) | 1 for _ in range(120)]
+    values += [sympy.nextprime(m) for m in values[:10]]
+    half = bits // 2
+    values += [sympy.nextprime(rng.getrandbits(half)) * sympy.nextprime(rng.getrandbits(half)) for _ in range(10)]
+    for m in values:
+        assert numtheory._strong_lucas_prp(m) == is_strong_lucas_prp(m), m
+
+
+# --- a None from sqrt_mod_prime proves a non-residue for any odd modulus -------
+
+def test_euler_minus_one_forces_jacobi_minus_one_for_every_odd_modulus_below_600():
+    hits = 0
+    for m in range(3, 600, 2):
+        for a in range(m):
+            if pow(a, (m - 1) // 2, m) == m - 1:
+                assert jacobi(a, m) == -1, (a, m)
+                hits += 1
+    assert hits > 14_000
+
+
+def test_sqrt_mod_prime_none_on_a_composite_modulus_means_jacobi_minus_one():
+    primes = set(_primes_below(600))
+    rng = random.Random(19)
+    cases = [(a, m) for m in range(9, 600, 2) if m not in primes for a in range(m)]
+    carmichael = [prod((6 * k + 1, 12 * k + 1, 18 * k + 1)) for k in CHERNICK_K]
+    for m in STRONG_LUCAS_PSEUDOPRIMES + STRONG_BASE_2_PSEUDOPRIMES + (561, 1105, 1729, *carmichael):
+        cases += [(rng.randrange(m), m) for _ in range(200)]
+    nones = 0
+    for a, m in cases:
+        try:
+            z = sqrt_mod_prime(a, m)
+        except IntegrityError:
+            continue
+        if z is None:
+            assert jacobi(a, m) == -1, (a, m)
+            nones += 1
+    assert nones > 200
 
 
 def test_factor_agrees_with_sympy_below_20000_and_on_30_to_64_bits():
