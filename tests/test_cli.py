@@ -163,6 +163,27 @@ def test_table_summary(capsys):
     assert summary == ["# p=7\tcount2=6\tcount3=0"]
 
 
+def test_table_400_summary_matches_the_closed_form_census(capsys):
+    # q is count 2 iff q ≡ ±(a²)⁻¹ (mod p): the unit squares number φ(p)/R,
+    # R the square roots of 1 (2 per odd prime; 1, 2, 4 for 2, 4, 8 | p), and
+    # ± doubles them unless -1 is itself a square mod p
+    sympy = pytest.importorskip("sympy")
+    code, out, _ = run_cli(capsys, "table", "400", "--summary")
+    assert code == 0
+    summaries = [line for line in out.splitlines() if line.startswith("# p=")]
+    assert len(summaries) == 399
+    for line in summaries:
+        fields = dict(field.split("=") for field in line[2:].split("\t"))
+        p, count2, count3 = int(fields["p"]), int(fields["count2"]), int(fields["count3"])
+        phi = int(sympy.totient(p))
+        roots_of_one = 1
+        for prime, exp in sympy.factorint(p).items():
+            roots_of_one *= 2 if prime > 2 else min(1 << (exp - 1), 4)
+        minus_one_is_square = any(x * x % p == p - 1 for x in range(p))
+        assert count2 + count3 == phi, p
+        assert count2 == phi // roots_of_one * (1 if minus_one_is_square else 2), p
+
+
 def test_table_jsonl(capsys):
     _, out, _ = run_cli(capsys, "table", "5", "--jsonl", "--summary")
     objs = [json.loads(line) for line in out.strip().splitlines()]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from math import gcd, prod
 
 import pytest
@@ -36,6 +37,13 @@ def _primes_below(n):
 
 def _squares_mod(m):
     return {x * x % m for x in range(m)}
+
+
+def _least_roots_mod(m):
+    least = {}
+    for x in range(m):
+        least.setdefault(x * x % m, x)
+    return least
 
 
 # --- mod_inv ----------------------------------------------------------------
@@ -544,19 +552,47 @@ def test_sqrt_mod_agrees_with_scan_below_200():
                 assert z is None, (a, m)
 
 
+def test_sqrt_mod_is_the_smallest_root_past_16_combinations():
+    # the search path, on every unit: 2^e times odd primes, 32 to 128 combinations
+    for m in (8 * 3 * 5 * 7, 16 * 3 * 5 * 7, 8 * 9 * 5 * 7, 3 * 5 * 7 * 11 * 13,
+              2 * 3 * 5 * 7 * 11 * 13, 8 * 3 * 5 * 7 * 11 * 13):
+        fact = factor(m)
+        least = _least_roots_mod(m)
+        for a in range(1, m):
+            if gcd(a, m) == 1:
+                assert sqrt_mod(a, m, fact) == least.get(a), (a, m)
+
+
 def test_sqrt_mod_sampled_up_to_2000():
     rng = random.Random(17)
     for _ in range(40):
         m = rng.randint(200, 2000)
         fact = factor(m)
-        squares = _squares_mod(m)
+        least = _least_roots_mod(m)
         for a in rng.sample(range(1, m), 30):
             if gcd(a, m) != 1:
                 continue
-            z = sqrt_mod(a, m, fact)
-            assert (z is not None) == (a in squares)
-            if z is not None:
-                assert z * z % m == a
+            assert sqrt_mod(a, m, fact) == least.get(a), (a, m)
+
+
+@pytest.mark.parametrize("e", range(5))
+def test_sqrt_mod_is_the_smallest_root_on_smooth_moduli(e):
+    # 2^e times 1-13 distinct odd primes below 200, some squared: from 1 to
+    # 2^15 combinations, so both the full listing (up to 16) and the search
+    # (32 and up).  Factors ascend, so the power of two, when there is one,
+    # always opens the search's first half.
+    residue_ntheory = pytest.importorskip("sympy.ntheory.residue_ntheory")
+    odd = _primes_below(200)[1:]
+    rng = random.Random(4100 + e)
+    for k in range(0 if e else 1, 14):
+        m = prod(p ** rng.choice((1, 1, 1, 2)) for p in rng.sample(odd, k)) << e
+        fact = factor(m)
+        z = rng.randrange(1, m + 1)
+        while gcd(z, m) != 1:
+            z = rng.randrange(1, m + 1)
+        for a in (z * z % m, z):
+            roots = residue_ntheory.sqrt_mod(a, m, all_roots=True)
+            assert sqrt_mod(a, m, fact) == (min(roots) if roots else None), (a, m)
 
 
 def test_sqrt_mod_prime_power_lifting():
@@ -599,6 +635,13 @@ def test_sqrt_mod_caps_its_root_combinations():
     with pytest.raises(ResourceError, match="524288 root combinations.*262144"):
         sqrt_mod(4, m, fact)
     assert time.perf_counter() - start < 1.0
-    m = prod(odd[:16])
-    assert sqrt_mod(4, m, factor(m)) == 2
+    m = prod(odd[:18])  # exactly 2^18 combinations, the most the cap allows
+    fact = factor(m)
+    tracemalloc.start()
+    try:
+        assert sqrt_mod(4, m, fact) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a list of all 2^18 roots takes about 19 MB
 
