@@ -14,6 +14,7 @@ above it, so factor's pieces there are probable primes.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
@@ -289,14 +290,21 @@ def _pollard_brent(n: int, budget: list[int]) -> int:
     raise ResourceError(f"Pollard rho failed to split {n}")
 
 
-def factor(m: int) -> Factorization:
-    """Full prime factorization of m >= 1.
+def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factorization | None:
+    """Full prime factorization of m >= 1, or None when stop asks for it.
 
     One gcd with the product of the primes below TRIAL_BOUND names the
     small primes, which are divided out; Pollard rho (Brent) splits the
     rest.  Every remaining piece is tested once, by is_prime(piece), and
     the result is built without testing it again.  Spending more than
     FACTOR_EFFORT Pollard-Brent iterations raises ResourceError.
+
+    stop, when given, is called just before each Pollard-Brent split, so
+    never for a prime m or one with no prime factor above TRIAL_BOUND.  It
+    gets the divisors of m found since its previous call: the small primes
+    with multiplicity (first call only), each piece tested, and last the
+    composite piece about to be split.  If it returns True, factor stops
+    and returns None.
     """
     if m < 1:
         raise DomainError(f"factor() needs m >= 1, got {m}")
@@ -312,12 +320,18 @@ def factor(m: int) -> Factorization:
                 counts[p] = counts.get(p, 0) + 1
                 rem //= p
     budget = [FACTOR_EFFORT]
+    found = [p for p, e in counts.items() for _ in range(e)] if stop is not None else []
     stack = [rem] if rem > 1 else []
     while stack:
         n = stack.pop()
+        found.append(n)
         if is_prime(n):
             counts[n] = counts.get(n, 0) + 1
             continue
+        if stop is not None:
+            if stop(found):
+                return None
+            found = []
         g = _pollard_brent(n, budget)
         stack.append(g)
         stack.append(n // g)

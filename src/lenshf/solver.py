@@ -72,20 +72,40 @@ def solve_n2(lens: LensSpace, *, fact: Factorization | None = None) -> Certifica
 
     Solves q*a^2 ≡ δ (mod p) for δ = +1 then -1, preferring the +1 branch
     and the smallest root a; t = (δ - q*a^2)/p is exact.  The certificate's
-    det is the sign δ.  fact is the factorization of p, computed here when
-    None; one of another number raises DomainError.  Before computing it,
-    None is returned when jacobi(q, p) = jacobi(-q, p) = -1, i.e. p ≡ 1
-    (mod 4) and jacobi(q, p) = -1: a square mod p is a square mod every
-    prime factor of p, so its Jacobi symbol is +1, and neither ±q^{-1} can
-    be one.  So p is factored only when a sign may still give a square.
+    det is the sign δ.  fact is the factorization of p; one of another
+    number raises DomainError.
+
+    Without fact, signs are ruled out before and while p is factored.  A
+    square mod p is a square mod every divisor d of p, so for odd d its
+    Jacobi symbol is +1, and a found d with jacobi(δ*q, d) = -1 rules δ out.
+    For odd p, one symbol jacobi(q, p) does this for d = p: when p ≡ 1
+    (mod 4), jacobi(-1, p) = +1 and both signs share it; when p ≡ 3
+    (mod 4) exactly one sign survives.  Then factor(p) passes the divisors
+    it has found to this check before each Pollard-Brent split; once no
+    sign is left it stops and None is returned.  sqrt_mod runs only for
+    the surviving signs.
     """
     p, q = lens.p, lens.q
+    signs = (1, -1)
     if fact is None:
-        if p % 4 == 1 and jacobi(q, p) == -1:  # jacobi(-1, p) = +1 here
+        if p % 2:
+            j = jacobi(q, p)
+            if p % 4 == 3:
+                signs = (j,)  # jacobi(-q, p) = -j
+            elif j == -1:
+                return None
+
+        def ruled_out(divisors: list[int]) -> bool:
+            nonlocal signs
+            odd = [d for d in divisors if d % 2]
+            signs = tuple(sign for sign in signs if all(jacobi(sign * q, d) == 1 for d in odd))
+            return not signs
+
+        fact = factor(p, stop=ruled_out)
+        if fact is None:
             return None
-        fact = factor(p)
     qinv = mod_inv(q, p)
-    for delta in (1, -1):
+    for delta in signs:
         a = sqrt_mod(delta * qinv % p, p, fact)
         if a is not None:
             return _certified(lens, Witness.single(a, (delta - q * a * a) // p), delta)

@@ -113,8 +113,21 @@ def test_analyze_count_three_of_an_unfactorable_p_by_jacobi_symbols(capsys):
     assert code == 0 and "3 boundary components" in out
 
 
+def test_analyze_count_three_of_an_unfactorable_p_by_a_found_divisor(capsys):
+    # (±7|p) = +1, but the first Pollard-Brent split leaves 1000033 and
+    # d = (10^24+49)(10^24+121) with (±7|d) = -1, which decides count 3
+    # without splitting d, which Pollard-Brent cannot do within
+    # numtheory.FACTOR_EFFORT
+    p = 1000033 * (10**24 + 49) * (10**24 + 121)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", str(p), "7")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "3 boundary components" in out
+
+
 def test_analyze_unfactorable_p_with_a_plus_one_symbol_exit_3(capsys, monkeypatch):
-    # p ≡ 3 (mod 4), so (-1|p) = -1 and one of (±2|p) is +1: p must be factored
+    # p ≡ 3 (mod 4), so (-1|p) = -1 and one of (±2|p) is +1: p must be factored,
+    # and p itself is the only divisor found before the split that fails
     monkeypatch.setattr(lenshf.numtheory, "FACTOR_EFFORT", 1000)
     p = (10**24 + 7) * (10**24 + 49)
     code, out, err = run_cli(capsys, "analyze", str(p), "2")

@@ -53,7 +53,7 @@ def test_public_surface_is_exactly_the_solver_kernel():
         getattr(lenshf, name)
     signatures = {
         "is_prime": ["m"],
-        "factor": ["m"],
+        "factor": ["m", "stop"],
         "find_prime_shift": ["lens", "pair"],
         "solve_n2": ["lens", "fact"],
         "solve_n3": ["lens"],
@@ -61,6 +61,6 @@ def test_public_surface_is_exactly_the_solver_kernel():
     }
     for name, params in signatures.items():
         assert list(inspect.signature(getattr(lenshf, name)).parameters) == params, name
-    for name in ("solve_n2", "minimal_planar_boundaries"):
-        fact = inspect.signature(getattr(lenshf, name)).parameters["fact"]
-        assert fact.kind is inspect.Parameter.KEYWORD_ONLY and fact.default is None, name
+    for name, option in (("solve_n2", "fact"), ("minimal_planar_boundaries", "fact"), ("factor", "stop")):
+        param = inspect.signature(getattr(lenshf, name)).parameters[option]
+        assert param.kind is inspect.Parameter.KEYWORD_ONLY and param.default is None, name

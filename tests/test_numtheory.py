@@ -497,6 +497,42 @@ def test_factor_effort_cap(monkeypatch):
         factor(1_000_003 * 1_000_033)
 
 
+# --- factor's stop callback ---------------------------------------------------
+
+def test_factor_with_a_stop_that_never_fires_is_factor():
+    rng = random.Random(19)
+    values = [1, 12, 2**521 - 1, 10009 * 10037 * 10061, 2**3 * 3 * 10007**2 * 1_000_003]
+    values += [rng.getrandbits(rng.randint(20, 64)) for _ in range(60)]
+    for m in values:
+        assert factor(m, stop=lambda divisors: False) == factor(m), m
+
+
+def test_factor_calls_stop_just_before_each_split():
+    seen = []
+
+    def stop(divisors):
+        seen.append(list(divisors))
+        return False
+
+    # a prime, and values with no prime factor above TRIAL_BOUND or only one
+    for m in (2**521 - 1, 10007, 2**40 * 3**5 * 5**3, 9973**3 * 10007, 9967 * 9973 * (2**61 - 1)):
+        factor(m, stop=stop)
+    assert seen == []
+    m = 2**3 * 3 * 10007 * 10009 * 10037
+    assert factor(m, stop=stop).factors == ((2, 3), (3, 1), (10007, 1), (10009, 1), (10037, 1))
+    # the small primes with multiplicity, then the piece about to be split;
+    # the first split gives 10007 and 10009*10037, which is tested first
+    assert seen == [[2, 2, 2, 3, 10007 * 10009 * 10037], [10009 * 10037]]
+
+
+def test_factor_returns_none_when_stop_fires_before_any_split(monkeypatch):
+    calls = _count_calls(monkeypatch, "_pollard_brent")
+    monkeypatch.setattr(numtheory, "FACTOR_EFFORT", 10)  # too little to split m
+    m = 1_000_003 * 1_000_033
+    assert factor(m, stop=lambda divisors: divisors == [m]) is None
+    assert calls[0] == 0
+
+
 def test_factor_rejects_nonpositive():
     with pytest.raises(DomainError):
         factor(0)

@@ -10,14 +10,15 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import replace
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
+import lenshf.numtheory
 import lenshf.solver
 from lenshf.errors import DomainError, IntegrityError, ResourceError
 from lenshf.lens import BezoutPair, LensSpace, bezout
-from lenshf.numtheory import factor, jacobi
+from lenshf.numtheory import factor, is_prime, jacobi, mod_inv
 from lenshf.oracle import brute_n2, brute_qr
 from lenshf.solver import (
     ConstructionTrace,
@@ -392,3 +393,79 @@ def test_solve_n2_without_a_factorization_matches_with_one():
             if gcd(p, q) == 1:
                 lens = LensSpace(p, q)
                 assert solve_n2(lens) == solve_n2(lens, fact=fact), (p, q)
+
+
+# --- signs ruled out by the divisors found while factoring p ------------------
+
+def _products_past_trial_bound():
+    """(p, its primes, several q) for seeded products of 2-3 distinct primes
+    of 14-24 bits, each prime's class mod 4 set by the bits of the index."""
+    rng = random.Random(23)
+    spaces = []
+    for i in range(32):
+        primes: list[int] = []
+        while len(primes) < 2 + i % 2:
+            bits = rng.randint(14, 24)
+            cand = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            wanted = 3 if i >> (1 + len(primes)) & 1 else 1
+            if cand % 4 == wanted and cand not in primes and is_prime(cand):
+                primes.append(cand)
+        p = prod(primes)
+        qs = [q for q in (rng.randrange(1, p) for _ in range(8)) if gcd(p, q) == 1]
+        spaces.append((p, primes, qs[:6]))
+    return spaces
+
+
+def test_solve_n2_without_a_factorization_matches_with_one_past_trial_bound():
+    counts = set()
+    for p, _, qs in _products_past_trial_bound():
+        fact = factor(p)
+        for q in qs:
+            lens = LensSpace(p, q)
+            cert = solve_n2(lens)
+            assert cert == solve_n2(lens, fact=fact), (p, q)
+            counts.add(cert is None)
+    assert counts == {True, False}
+
+
+def test_solve_n2_none_past_trial_bound_agrees_with_sympy():
+    # a sign δ gives a square when δ*q^-1 is one mod every prime power of p
+    residue_ntheory = pytest.importorskip("sympy.ntheory.residue_ntheory")
+    for p, primes, qs in _products_past_trial_bound():
+        for q in qs:
+            qinv = mod_inv(q, p)
+            square = any(
+                all(residue_ntheory.is_quad_residue(sign * qinv % prime, prime) for prime in primes)
+                for sign in (1, -1)
+            )
+            assert (solve_n2(LensSpace(p, q)) is None) == (not square), (p, q)
+
+
+def test_solve_n2_stops_factoring_once_both_signs_are_ruled_out(monkeypatch):
+    # p ≡ 1 (mod 4) and (±2|p) = +1, so p must be factored; its first split
+    # gives 10037 and 10009*10061, and (±2|10037) = -1 rules out both signs
+    calls = [0]
+    split = lenshf.numtheory._pollard_brent
+
+    def counting(*args):
+        calls[0] += 1
+        return split(*args)
+
+    monkeypatch.setattr(lenshf.numtheory, "_pollard_brent", counting)
+    p = 10009 * 10037 * 10061
+    assert jacobi(2, p) == jacobi(-2, p) == 1 and jacobi(2, 10037) == jacobi(-2, 10037) == -1
+    fact = factor(p)
+    assert calls[0] == 2
+    calls[0] = 0
+    assert solve_n2(LensSpace(p, 2)) is None
+    assert calls[0] == 1
+    # the small primes count too: (±2|5) = (±2|13) = -1 decide before any
+    # split, although (±2|10009*10169) = +1
+    calls[0] = 0
+    assert solve_n2(LensSpace(5 * 13 * 10009 * 10169, 2)) is None
+    assert calls[0] == 0
+    # a count-2 q still factors p completely, to the same certificate
+    calls[0] = 0
+    cert = solve_n2(LensSpace(p, 13))
+    assert calls[0] == 2
+    assert cert is not None and cert == solve_n2(LensSpace(p, 13), fact=fact)
