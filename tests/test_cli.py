@@ -16,10 +16,11 @@ import pytest
 import lenshf.cli
 import lenshf.numtheory
 import lenshf.solver
+import lenshf.witness
 from lenshf.cli import main
 from lenshf.lens import LensSpace
 from lenshf.solver import minimal_planar_boundaries
-from lenshf.witness import certificate_from_json
+from lenshf.witness import certificate_from_json, pad, verify
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +243,21 @@ def test_table_factors_each_p_once_and_verifies_each_row_once(capsys, monkeypatc
     assert counter == {"factor": 29, "verify": len(rows)}
 
 
+def test_each_answer_and_each_verify_evaluates_one_determinant(monkeypatch):
+    # the traced benchmark requires witness.det_exact calls on every workload
+    counter = {"det_exact": 0}
+    _counting(monkeypatch, lenshf.witness, "det_exact", counter)
+    for p, q, count in ((5, 4, 2), (5, 2, 3)):
+        counter["det_exact"] = 0
+        assert minimal_planar_boundaries(LensSpace(p, q))[0] == count
+        assert counter == {"det_exact": 1}, (p, q)
+    w = minimal_planar_boundaries(LensSpace(5, 2))[1].witness
+    w = pad(pad(pad(w)))
+    counter["det_exact"] = 0
+    assert w.n == 5 and verify(LensSpace(5, 2), w).valid
+    assert counter == {"det_exact": 1}
+
+
 def test_removed_search_flags_exit_64_before_any_work(capsys, monkeypatch):
     # the prime-search cap is a module constant, and primality takes no round count
     counter = {"factor": 0, "minimal_planar_boundaries": 0}
@@ -254,12 +270,26 @@ def test_removed_search_flags_exit_64_before_any_work(capsys, monkeypatch):
     assert counter == {"factor": 0, "minimal_planar_boundaries": 0}
 
 
-def test_table_into_a_closed_pipe_prints_no_traceback():
+def _src_env():
+    """The environment for a child interpreter that imports this lenshf."""
     src = os.path.dirname(os.path.dirname(lenshf.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_python_dash_m_lenshf_runs_the_cli():
+    runs = [
+        subprocess.run([sys.executable, "-m", module, "analyze", "7", "3"],
+                       capture_output=True, env=_src_env(), timeout=60)
+        for module in ("lenshf", "lenshf.cli")
+    ]
+    assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr.decode()
+    assert runs[0].stdout == runs[1].stdout and b"L(7,3)" in runs[0].stdout
+
+
+def test_table_into_a_closed_pipe_prints_no_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "lenshf.cli", "table", "400"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
     )
     assert proc.stdout.readline() == b"2\t1\t2\t1\n"
     proc.stdout.close()  # as `head -1` does

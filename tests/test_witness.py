@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
@@ -76,18 +77,41 @@ def test_det_exact_small_matrices():
     assert det_exact([[7]]) == 7
     assert det_exact([[1, 2], [3, 4]]) == -2
     assert det_exact([[2, -1], [1, 0]]) == 1
-    with pytest.raises(DomainError):
-        det_exact([[1, 2], [3]])
+    for bad in ([[1, 2], [3]], [], [[]], [[1, 2], [3, 4], [5, 6]], [[1, 2, 3], [4, 5, 6]]):
+        with pytest.raises(DomainError):
+            det_exact(bad)
 
 
-def test_det_exact_bareiss_agrees_with_cofactor():
-    from lenshf.witness import _det_bareiss, _det_cofactor
+def _det_leibniz(m):
+    """Reference determinant: the signed sum over all permutations."""
+    size = len(m)
+    total = 0
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = -1 if inversions % 2 else 1
+        for row, col in zip(m, perm):
+            term *= row[col]
+        total += term
+    return total
+
+
+def test_det_exact_agrees_with_leibniz():
+    from lenshf.witness import _det_bareiss
 
     rng = random.Random(41)
-    for size in (1, 2, 3, 4, 5, 6, 7):
+    cases = []
+    for size in range(1, 8):
         for _ in range(30):
-            m = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-            assert _det_bareiss(m) == _det_cofactor(m), m
+            cases.append([[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)])
+            # mostly zeros: zero pivots, row swaps and singular matrices
+            cases.append([[rng.choice((0, 0, 0, 0, 1, -1, 3)) for _ in range(size)] for _ in range(size)])
+    for size in range(1, 6):
+        for _ in range(10):
+            cases.append([[rng.randint(-10**100, 10**100) for _ in range(size)] for _ in range(size)])
+    for m in cases:
+        expect = _det_leibniz(m)
+        assert det_exact(m) == expect, m
+        assert _det_bareiss(m) == expect, m
 
 
 def test_det_exact_handles_zero_pivots():
