@@ -19,7 +19,7 @@ from .errors import DomainError, IntegrityError, ResourceError
 from .lens import THREE_SPHERE, LensSpace, SpecialCase, normalize
 from .numtheory import factor
 from .quadform import QuadForm
-from .solver import minimal_planar_boundaries
+from .solver import minimal_planar_boundaries, solve_n3
 from .witness import TRACE_FIELDS, _check_verify_budget, certificate_from_json, certificate_to_json, verify
 
 EXIT_OK = 0
@@ -78,14 +78,22 @@ def cmd_table(args) -> int:
         raise DomainError(f"pmax must be >= 2, got {args.pmax}")
     for p in range(2, args.pmax + 1):
         fact = factor(p)
+        # Count 2 iff q*a^2 ≡ ±1 (mod p) is solvable, i.e. iff q or p - q is
+        # a unit square.  Squaring 1..p//2 lists every square; no gcd is
+        # needed, as the square of a non-unit is a non-unit, never q or p - q.
+        squares = {a * a % p for a in range(1, p // 2 + 1)}
         count2 = count3 = 0
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            count, cert = minimal_planar_boundaries(LensSpace(p, q), fact=fact)
-            if count == 2:
+            lens = LensSpace(p, q)
+            if q in squares or p - q in squares:
+                count, cert = minimal_planar_boundaries(lens, fact=fact)
+                if count != 2:
+                    raise IntegrityError(f"{lens}: ±{q} is a square mod {p}, but the solver says {count}")
                 count2 += 1
             else:
+                count, cert = 3, solve_n3(lens)
                 count3 += 1
             if args.jsonl:
                 row = {"p": str(p), "q": str(q), "boundaries": str(count), "det": str(cert.det)}

@@ -221,8 +221,9 @@ _TRACE_INT_FIELDS = tuple(name for name in TRACE_FIELDS if name != "branch")
 
 def _parse_int(value: Any) -> int:
     if isinstance(value, str):  # the common case, tested first
-        # int() alone would also take "0_7", " 7" and non-ASCII digits
-        if not (value.isascii() and value.lstrip("+-").isdigit()):
+        # int() alone would also take "0_7", " 7" and non-ASCII digits; one
+        # sign at most, so "--7" gets this message rather than int()'s
+        if not (value.isascii() and (value.isdigit() or value[1:].isdigit() and value[0] in "+-")):
             raise ValueError(f"expected a decimal string, got {value!r}")
         return int(value)
     if isinstance(value, bool):

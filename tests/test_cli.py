@@ -19,7 +19,7 @@ import lenshf.solver
 import lenshf.witness
 from lenshf.cli import main
 from lenshf.lens import LensSpace
-from lenshf.solver import minimal_planar_boundaries
+from lenshf.solver import minimal_planar_boundaries, solve_n2, solve_n3
 from lenshf.witness import certificate_from_json, pad, verify
 
 
@@ -196,6 +196,21 @@ def test_table_400_summary_matches_the_closed_form_census(capsys):
         minus_one_is_square = any(x * x % p == p - 1 for x in range(p))
         assert count2 + count3 == phi, p
         assert count2 == phi // roots_of_one * (1 if minus_one_is_square else 2), p
+    # the rows as well as the counts, at no extra run
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dc46386f40848d819e2f9c87465ead837f265d8c165adcfcf5a17b98a231e17d"
+    )
+
+
+def test_table_square_criterion_agrees_with_solve_n2_per_q():
+    # solve_n2 without fact decides by Jacobi symbols and a factor() that may
+    # stop early, independently of the unit squares the table lists per p
+    for p in range(2, 301):
+        squares = {a * a % p for a in range(1, p // 2 + 1)}
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                listed = q in squares or p - q in squares
+                assert listed == (solve_n2(LensSpace(p, q)) is not None), (p, q)
 
 
 def test_table_jsonl(capsys):
@@ -241,6 +256,38 @@ def test_table_factors_each_p_once_and_verifies_each_row_once(capsys, monkeypatc
     rows = out.strip().splitlines()
     assert len(rows) == sum(1 for p in range(2, 31) for q in range(1, p) if gcd(p, q) == 1)
     assert counter == {"factor": 29, "verify": len(rows)}
+
+
+# The layers whose calls perfbench's traced sweep requires, written out here
+_SWEEP_LAYERS = (
+    "minimal_planar_boundaries", "solve_n2", "solve_n3", "find_prime_shift", "factor", "is_prime",
+    "sqrt_mod", "sqrt_mod_prime", "bezout", "construct_representing_form", "verify", "det_exact",
+)
+
+
+def test_table_runs_solve_n2_on_count_two_rows_only_and_every_traced_layer(capsys, monkeypatch):
+    modules = (lenshf.cli, lenshf.solver, lenshf.numtheory, lenshf.lens, lenshf.quadform, lenshf.witness)
+    counter = dict.fromkeys(_SWEEP_LAYERS, 0)
+    for name in _SWEEP_LAYERS:  # wrap each module's binding, so every call counts once
+        original = next(vars(m)[name] for m in modules if name in vars(m))
+        for module in modules:
+            if vars(module).get(name) is original:
+                _counting(monkeypatch, module, name, counter)
+    code, out, _ = run_cli(capsys, "table", "30")
+    assert code == 0
+    counts = [line.split("\t")[2] for line in out.splitlines()]
+    assert counter["solve_n2"] == counts.count("2") and counter["solve_n3"] == counts.count("3")
+    assert counter["verify"] == len(counts)
+    assert [name for name, calls in counter.items() if calls == 0] == []
+
+
+def test_table_count_two_row_the_solver_denies_exit_3(capsys, monkeypatch):
+    # L(2,1) comes first, and 1 is a square mod 2
+    monkeypatch.setattr(lenshf.cli, "minimal_planar_boundaries",
+                        lambda lens, fact=None: (3, solve_n3(lens)))
+    code, out, err = run_cli(capsys, "table", "5")
+    assert code == 3 and out == ""
+    assert "integrity failure: L(2,1)" in err
 
 
 def test_each_answer_and_each_verify_evaluates_one_determinant(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from itertools import permutations
 
@@ -297,6 +298,14 @@ def test_json_rejects_malformed_structure():
         d = {k: (v[:] if isinstance(v, list) else v) for k, v in good.items()}
         breakage(d)
         with pytest.raises((KeyError, TypeError, ValueError)):
+            certificate_from_dict(d)
+
+
+def test_json_rejects_a_doubled_sign_with_its_own_message():
+    d = certificate_to_dict(_sample_cert())
+    for value in ("+-5", "--5", "-+5"):
+        d["p"] = value
+        with pytest.raises(ValueError, match=f"^expected a decimal string, got '{re.escape(value)}'$"):
             certificate_from_dict(d)
 
 
