@@ -14,7 +14,6 @@ import os
 import sys
 from math import gcd
 
-from . import oracle
 from .errors import DomainError, IntegrityError, ResourceError
 from .lens import THREE_SPHERE, LensSpace, SpecialCase, normalize
 from .numtheory import factor
@@ -139,6 +138,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle  # here, so the other subcommands do not load it
+
     if args.oracle_cmd == "qr":
         print("true" if oracle.brute_qr(args.a, args.m) else "false")
         return EXIT_OK

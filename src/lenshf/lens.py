@@ -3,8 +3,9 @@ and the homeomorphism-class test q2 ≡ ±q1^{±1} (mod p)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError
 from .numtheory import mod_inv
@@ -13,27 +14,27 @@ THREE_SPHERE = "3-sphere"
 NOT_A_LENS_SPACE = "not-a-lens-space"
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(namedtuple("LensSpace", "p q")):
     """L(p, q) in canonical form: p >= 2, 0 < q < p, gcd(p, q) = 1."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 2:
-            raise DomainError(f"need p >= 2, got {self.p}")
-        if not 0 < self.q < self.p:
-            raise DomainError(f"need 0 < q < p, got q={self.q}, p={self.p}")
-        if gcd(self.p, self.q) != 1:
-            raise DomainError(f"need gcd(p, q) = 1, got gcd {gcd(self.p, self.q)}")
+    def __new__(cls, p: int, q: int):
+        if p < 2:
+            raise DomainError(f"need p >= 2, got {p}")
+        if not 0 < q < p:
+            raise DomainError(f"need 0 < q < p, got q={q}, p={p}")
+        if gcd(p, q) != 1:
+            raise DomainError(f"need gcd(p, q) = 1, got gcd {gcd(p, q)}")
+        return tuple.__new__(cls, (p, q))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __str__(self):
         return f"L({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class SpecialCase:
+class SpecialCase(NamedTuple):
     """Inputs with |p| <= 1, which are not lens spaces with p >= 2."""
 
     kind: str  # THREE_SPHERE or NOT_A_LENS_SPACE
@@ -41,8 +42,7 @@ class SpecialCase:
     q: int
 
 
-@dataclass(frozen=True)
-class BezoutPair:
+class BezoutPair(NamedTuple):
     """Positive (s, r) with p*s - q*r = 1 and 0 < r < p (r ≡ -q^{-1} mod p)."""
 
     s: int

@@ -14,8 +14,8 @@ above it, so factor's pieces there are probable primes.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, IntegrityError, NotInvertibleError, ResourceError
@@ -224,23 +224,21 @@ def sqrt_mod_prime(a: int, prime: int) -> int | None:
     return min(z, prime - z)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "value factors")):
     """value = product of prime**exp over factors; factors strictly increasing.
 
     Construction checks all of this, primality by is_prime included; only
     factor(), which has just tested each prime, skips the checks.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value < 1:
+    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]):
+        if value < 1:
             raise DomainError("Factorization of a non-positive integer")
         prod = 1
         prev = 1
-        for prime, exp in self.factors:
+        for prime, exp in factors:
             if prime <= prev:
                 raise DomainError("factors must be strictly increasing primes")
             if exp < 1:
@@ -249,8 +247,11 @@ class Factorization:
                 raise DomainError(f"{prime} is not prime")
             prev = prime
             prod *= prime ** exp
-        if prod != self.value:
-            raise DomainError(f"factor product {prod} != value {self.value}")
+        if prod != value:
+            raise DomainError(f"factor product {prod} != value {value}")
+        return tuple.__new__(cls, (value, factors))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
 def _pollard_brent(n: int, budget: list[int]) -> int:
@@ -335,10 +336,8 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
         g = _pollard_brent(n, budget)
         stack.append(g)
         stack.append(n // g)
-    fact = object.__new__(Factorization)  # skips __post_init__: tested above
-    object.__setattr__(fact, "value", m)
-    object.__setattr__(fact, "factors", tuple(sorted(counts.items())))
-    return fact
+    # tuple.__new__ skips Factorization's checks: each prime was tested above
+    return tuple.__new__(Factorization, (m, tuple(sorted(counts.items()))))
 
 
 def _roots_mod_prime_power(a: int, prime: int, exp: int) -> list[int]:

@@ -5,8 +5,8 @@ represents n at a primitive vector."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from . import numtheory
 from .errors import DomainError, ResourceError
@@ -16,8 +16,7 @@ from .errors import DomainError, ResourceError
 CONGRUENCE_SCAN_MAX = 10**6
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(NamedTuple):
     """The form A*x^2 + 2*B*x*y + C*y^2."""
 
     A: int

@@ -18,37 +18,37 @@ string so JSON consumers never round through 53-bit floats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from math import log2
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import DomainError, ResourceError
 from .lens import LensSpace
 
 
-@dataclass
-class Witness:
+class Witness(namedtuple("Witness", "a t l")):
     """Boundary data: length-n lists a and t plus a symmetric n x n linking
     matrix l with zero diagonal."""
 
-    a: list[int]
-    t: list[int]
-    l: list[list[int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.a)
+    def __new__(cls, a: list[int], t: list[int], l: list[list[int]]):
+        n = len(a)
         if n < 1:
             raise DomainError("witness needs n >= 1")
-        if len(self.t) != n:
-            raise DomainError(f"len(t) = {len(self.t)} != len(a) = {n}")
-        if len(self.l) != n or any(len(row) != n for row in self.l):
+        if len(t) != n:
+            raise DomainError(f"len(t) = {len(t)} != len(a) = {n}")
+        if len(l) != n or any(len(row) != n for row in l):
             raise DomainError("l must be an n x n matrix")
         for i in range(n):
-            if self.l[i][i] != 0:
+            if l[i][i] != 0:
                 raise DomainError("l must have zero diagonal")
             for j in range(i + 1, n):
-                if self.l[i][j] != self.l[j][i]:
+                if l[i][j] != l[j][i]:
                     raise DomainError("l must be symmetric")
+        return tuple.__new__(cls, (a, t, l))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     @property
     def n(self) -> int:
@@ -63,8 +63,7 @@ class Witness:
         return cls([a1, a2], [t1, t2], [[0, l12], [l12, 0]])
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(NamedTuple):
     """Every intermediate of the n = 2 construction, for audit.
 
     q_prime is the prime ≡ 3 (mod 4) found at shift k; s_prime is the
@@ -97,11 +96,10 @@ class ConstructionTrace:
 
 # Field names in declaration order: the order of the JSON trace object and of
 # `lenshf analyze --trace`.
-TRACE_FIELDS = tuple(f.name for f in fields(ConstructionTrace))
+TRACE_FIELDS = ConstructionTrace._fields
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A witness together with its exactly evaluated determinant."""
 
     lens: LensSpace

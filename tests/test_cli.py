@@ -366,6 +366,14 @@ def test_import_loads_no_numpy():
         "assert 'numpy' not in sys.modules, 'numpy imported'"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    # the records are named tuples, so the CLI's cold start skips dataclasses
+    # and the inspect/ast/dis it imports; oracle loads with its subcommand only
+    code = (
+        "import sys; before = set(sys.modules); import lenshf.cli; "
+        "gained = {'dataclasses', 'inspect', 'lenshf.oracle'} & (set(sys.modules) - before); "
+        "assert not gained, f'import lenshf.cli loaded {sorted(gained)}'"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 # --- verify ------------------------------------------------------------------

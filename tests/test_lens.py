@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from math import gcd
 
 import pytest
@@ -24,14 +25,31 @@ def test_lens_space_validation():
     lens = LensSpace(5, 2)
     assert (lens.p, lens.q) == (5, 2)
     assert str(lens) == "L(5,2)"
-    with pytest.raises(DomainError):
-        LensSpace(1, 0)
-    with pytest.raises(DomainError):
-        LensSpace(5, 0)
-    with pytest.raises(DomainError):
-        LensSpace(5, 5)
-    with pytest.raises(DomainError):
-        LensSpace(6, 3)
+    for p, q, message in (
+        (1, 0, "need p >= 2, got 1"),
+        (5, 0, "need 0 < q < p, got q=0, p=5"),
+        (5, 5, "need 0 < q < p, got q=5, p=5"),
+        (6, 3, "need gcd(p, q) = 1, got gcd 3"),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            LensSpace(p, q)
+        if p >= 2:  # _replace checks the new pair as the constructor does
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                LensSpace(p, 1)._replace(q=q)
+
+
+def test_lens_records_are_immutable_named_tuples():
+    lens = LensSpace(8, 3)
+    p, q = lens
+    assert (p, q) == (8, 3) and lens._fields == ("p", "q")
+    assert lens._replace(q=5) == LensSpace(8, 5) and type(lens._replace(q=5)) is LensSpace
+    assert repr(lens) == "LensSpace(p=8, q=3)"
+    assert bezout(lens) == BezoutPair(s=2, r=5)
+    for record in (lens, bezout(lens), normalize(1, 0)):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
 
 
 def test_normalize_reduces_q():

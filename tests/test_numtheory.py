@@ -540,16 +540,27 @@ def test_factor_rejects_nonpositive():
 
 def test_factorization_validates_itself():
     Factorization(12, ((2, 2), (3, 1)))  # fine
-    with pytest.raises(DomainError):
-        Factorization(12, ((2, 1), (3, 1)))  # product mismatch
-    with pytest.raises(DomainError):
-        Factorization(12, ((3, 1), (2, 2)))  # out of order
-    with pytest.raises(DomainError):
-        Factorization(16, ((4, 2),))  # composite "prime"
-    with pytest.raises(DomainError):
-        Factorization(4, ((2, 0),))  # zero exponent
-    with pytest.raises(DomainError):
-        Factorization(-3, ())
+    for value, factors, message in (
+        (12, ((2, 1), (3, 1)), "factor product 6 != value 12"),
+        (12, ((3, 1), (2, 2)), "factors must be strictly increasing primes"),  # out of order
+        (16, ((4, 2),), "4 is not prime"),
+        (4, ((2, 0),), "exponents must be positive"),
+        (-3, (), "Factorization of a non-positive integer"),
+    ):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            Factorization(value, factors)
+        with pytest.raises(DomainError, match=f"^{message}$"):  # _replace checks too
+            Factorization(1, ())._replace(value=value, factors=factors)
+
+
+def test_factor_returns_the_checked_record():
+    for n in (1, 2, 12, 97, 2**10 * 3**5, 10_007 * 1_000_003, 1_000_003**2 * 1_000_033):
+        fact = factor(n)
+        assert type(fact) is Factorization and fact == Factorization(n, fact.factors), n
+        value, factors = fact
+        assert value == n and factors == fact.factors and isinstance(factors, tuple)
+    with pytest.raises(AttributeError):
+        fact.value = 2
 
 
 # --- sqrt_mod ----------------------------------------------------------------

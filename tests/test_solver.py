@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
 from math import gcd, prod
 
 import pytest
@@ -268,14 +267,14 @@ def test_certificate_det_is_the_recomputed_determinant():
                 continue
             lens = LensSpace(p, q)
             count, cert = minimal_planar_boundaries(lens)
-            assert cert == replace(verify(lens, cert.witness), trace=cert.trace), (p, q)
+            assert cert == verify(lens, cert.witness)._replace(trace=cert.trace), (p, q)
             assert minimal_planar_boundaries(lens, fact=fact) == (count, cert), (p, q)
 
 
 def test_solvers_reject_a_witness_of_the_wrong_sign(monkeypatch):
     def flipped(lens, w):
         cert = verify(lens, w)
-        return replace(cert, det=-cert.det)
+        return cert._replace(det=-cert.det)
 
     monkeypatch.setattr(lenshf.solver, "verify", flipped)
     with pytest.raises(IntegrityError, match="wanted -1"):

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
 from lenshf.errors import DomainError
 from lenshf.lens import LensSpace
-from lenshf.solver import ConstructionTrace
+from lenshf.solver import ConstructionTrace, minimal_planar_boundaries
 from lenshf.witness import (
+    TRACE_FIELDS,
     Certificate,
     Witness,
     assemble_matrix,
@@ -41,16 +42,42 @@ def _random_witness(rng, n, span=20):
 def test_witness_validation():
     Witness.single(3, -2)
     Witness.pair(1, 0, -1, -7, -2)
-    with pytest.raises(DomainError):
-        Witness([], [], [])
-    with pytest.raises(DomainError):
-        Witness([1], [2, 3], [[0]])
-    with pytest.raises(DomainError):
-        Witness([1, 2], [3, 4], [[0, 1], [2, 0]])  # asymmetric
-    with pytest.raises(DomainError):
-        Witness([1, 2], [3, 4], [[1, 0], [0, 0]])  # nonzero diagonal
-    with pytest.raises(DomainError):
-        Witness([1, 2], [3, 4], [[0, 1]])  # ragged
+    for a, t, l, message in (
+        ([], [], [], "witness needs n >= 1"),
+        ([1], [2, 3], [[0]], "len(t) = 2 != len(a) = 1"),
+        ([1, 2], [3, 4], [[0, 1], [2, 0]], "l must be symmetric"),
+        ([1, 2], [3, 4], [[1, 0], [0, 0]], "l must have zero diagonal"),
+        ([1, 2], [3, 4], [[0, 1]], "l must be an n x n matrix"),  # ragged
+        ([1, 2], [3, 4], [[0, 1], [2]], "l must be an n x n matrix"),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Witness(a, t, l)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):  # _replace checks too
+            Witness.single(1, 0)._replace(a=a, t=t, l=l)
+
+
+def test_witness_records_are_immutable_named_tuples():
+    w = Witness.pair(1, 0, -1, -7, -2)
+    a, t, l = w
+    assert (a, t, l) == ([1, 0], [-1, -7], [[0, -2], [-2, 0]]) and w.n == 2
+    assert w._replace(t=[5, 7]) == Witness([1, 0], [5, 7], l)
+    cert = verify(LensSpace(5, 2), w)
+    assert cert == Certificate(LensSpace(5, 2), w, 1, True) and cert.trace is None
+    for record, name in ((w, "a"), (cert, "det")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_trace_fields_are_the_json_trace_keys_in_order():
+    _, cert = minimal_planar_boundaries(LensSpace(8, 3))
+    keys = list(json.loads(certificate_to_json(cert))["trace"])
+    assert keys == list(TRACE_FIELDS) == [
+        "branch", "k", "q_prime", "s_prime", "eps", "z", "z_inv", "eps_prime",
+        "D", "n_form", "z0", "C0", "w",
+    ]
+    assert TRACE_FIELDS == ConstructionTrace._fields
+    with pytest.raises(AttributeError):
+        cert.trace.k = 0
 
 
 def test_assemble_matrix_known():
@@ -240,7 +267,7 @@ def _sample_cert(with_trace_data=False):
             branch="q-branch", k=1, q_prime=7, s_prime=3, eps=-1, z=3,
             z_inv=5, eps_prime=1, D=3, n_form=-7, z0=2, C0=-1, w=1,
         )
-        cert = replace(cert, trace=trace)
+        cert = cert._replace(trace=trace)
     return cert
 
 
