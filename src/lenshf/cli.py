@@ -9,7 +9,6 @@ or integrity error, 64 usage error, 65 certificate parse failure, 141 closed pip
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from math import gcd
@@ -51,6 +50,8 @@ def cmd_analyze(args) -> int:
     result = normalize(args.p, args.q)
     if isinstance(result, SpecialCase):
         if args.json:
+            import json  # only where output is JSON: it is a tenth of the CLI's import
+
             payload = {"p": str(args.p), "q": str(args.q), "special": result.kind}
             print(json.dumps(payload, indent=2))
         elif result.kind == THREE_SPHERE:
@@ -75,6 +76,8 @@ def cmd_analyze(args) -> int:
 def cmd_table(args) -> int:
     if args.pmax < 2:
         raise DomainError(f"pmax must be >= 2, got {args.pmax}")
+    if args.jsonl:
+        import json
     for p in range(2, args.pmax + 1):
         fact = factor(p)
         # Count 2 iff q*a^2 ≡ ±1 (mod p) is solvable, i.e. iff q or p - q is

@@ -1,5 +1,6 @@
 """Exact integer kernel: modular inverses, Jacobi symbols, primality,
-modular square roots and factoring.
+modular square roots and factoring (trial gcd, then Pollard p-1 before
+Pollard-Brent on each composite piece, under one effort budget).
 
 Everything operates on plain Python integers (arbitrary precision) and no
 floating point is used anywhere.  All functions are pure and safe to call
@@ -13,7 +14,7 @@ above it, so factor's pieces there are probable primes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Callable
 from math import gcd, isqrt, prod
@@ -47,6 +48,26 @@ def _primes_below(n: int) -> tuple[int, ...]:
 _TRIAL_PRIMES = _primes_below(TRIAL_BOUND)
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 _SMALL_PRIMES = _TRIAL_PRIMES[:25]  # the primes up to 97
+
+
+def _prime_power_product(bound: int) -> int:
+    """The product of the largest power <= bound of each prime <= bound."""
+    e = 1
+    for p in _TRIAL_PRIMES[:bisect_right(_TRIAL_PRIMES, bound)]:
+        q = p
+        while q * p <= bound:
+            q *= p
+        e *= q
+    return e
+
+
+# Pollard p-1 finds a prime P when P - 1 divides lcm(1..1000), the 1,438-bit
+# stage-1 exponent, times at most one prime between 1000 and TRIAL_BOUND
+# (stage 2, which steps between those primes by their gaps).  Stage-1 bounds
+# of 600-2000 measured alike on analyze-composite, 300 worse.
+_PM1_EXPONENT = _prime_power_product(1000)
+_PM1_STAGE2 = _TRIAL_PRIMES[bisect_right(_TRIAL_PRIMES, 1000):]
+_PM1_GAPS = tuple(b - a for a, b in zip(_PM1_STAGE2, _PM1_STAGE2[1:]))
 
 
 def mod_inv(a: int, m: int) -> int:
@@ -254,11 +275,45 @@ class Factorization(namedtuple("Factorization", "value factors")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
+def _charge(budget: list[int], units: int, stage: str, n: int) -> None:
+    """Take units from the factoring budget, or raise ResourceError first."""
+    if budget[0] < units:
+        spent = FACTOR_EFFORT - budget[0]
+        raise ResourceError(
+            f"factoring effort cap exhausted in {stage} on {n}: "
+            f"{spent} of FACTOR_EFFORT = {FACTOR_EFFORT} units spent, {units} more needed"
+        )
+    budget[0] -= units
+
+
+def _pollard_pm1(n: int, budget: list[int]) -> int:
+    """A divisor of odd n by Pollard p-1: 1 or n when it splits nothing.
+
+    Stage 1 takes gcd(x - 1, n), x = 2**E mod n; when that is 1, stage 2
+    takes the gcd of n and the product of x**l - 1 over the stage-2 primes.
+    Each stage is charged to budget before it runs.
+    """
+    _charge(budget, _PM1_EXPONENT.bit_length(), "Pollard p-1 stage 1", n)
+    x = pow(2, _PM1_EXPONENT, n)
+    g = gcd(x - 1, n)
+    if g != 1:
+        return g
+    _charge(budget, 2 * len(_PM1_STAGE2), "Pollard p-1 stage 2", n)
+    steps = {gap: pow(x, gap, n) for gap in set(_PM1_GAPS)}
+    y = pow(x, _PM1_STAGE2[0], n)
+    acc = y - 1
+    for gap in _PM1_GAPS:
+        y = y * steps[gap] % n
+        acc = acc * (y - 1) % n
+    return gcd(acc, n)
+
+
 def _pollard_brent(n: int, budget: list[int]) -> int:
     """A nontrivial factor of odd composite n (Brent's cycle variant).
 
-    budget is a single-element list of remaining iteration credit, shared
-    across calls; exhausting it raises ResourceError.
+    budget is a single-element list of remaining effort, shared across
+    calls and charged one unit per iteration; exhausting it raises
+    ResourceError.
     """
     for c in range(1, 64):
         y, m, g, r, q = 2, 128, 1, 1, 1
@@ -276,9 +331,7 @@ def _pollard_brent(n: int, budget: list[int]) -> int:
                 g = gcd(q, n)
                 k += m
             r *= 2
-            budget[0] -= r
-            if budget[0] < 0:
-                raise ResourceError(f"factoring effort cap exhausted on {n}")
+            _charge(budget, r, "Pollard-Brent", n)
         if g != n:
             return g
         # batch gcd collapsed; replay one step at a time
@@ -295,15 +348,20 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
     """Full prime factorization of m >= 1, or None when stop asks for it.
 
     One gcd with the product of the primes below TRIAL_BOUND names the
-    small primes, which are divided out; Pollard rho (Brent) splits the
-    rest.  Every remaining piece is tested once, by is_prime(piece), and
-    the result is built without testing it again.  Spending more than
-    FACTOR_EFFORT Pollard-Brent iterations raises ResourceError.
+    small primes, which are divided out.  Each composite piece left is
+    split by Pollard p-1 (_pollard_pm1), which finds the primes P with
+    smooth P - 1, and by Pollard rho (Brent) when p-1 splits nothing.
+    Every piece is tested once, by is_prime(piece), and the result is
+    built without testing it again.  Both methods draw on one budget of
+    FACTOR_EFFORT units: a Pollard-Brent iteration costs one unit, p-1
+    stage 1 one per bit of its exponent (1,438) and stage 2 two per prime
+    it tries (2,122 in all).  A method that would overdraw it raises
+    ResourceError, naming the method and the effort spent.
 
-    stop, when given, is called just before each Pollard-Brent split, so
-    never for a prime m or one with no prime factor above TRIAL_BOUND.  It
-    gets the divisors of m found since its previous call: the small primes
-    with multiplicity (first call only), each piece tested, and last the
+    stop, when given, is called just before each split, so never for a
+    prime m or one with no prime factor above TRIAL_BOUND.  It gets the
+    divisors of m found since its previous call: the small primes with
+    multiplicity (first call only), each piece tested, and last the
     composite piece about to be split.  If it returns True, factor stops
     and returns None.
     """
@@ -333,7 +391,9 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
             if stop(found):
                 return None
             found = []
-        g = _pollard_brent(n, budget)
+        g = _pollard_pm1(n, budget)
+        if g == 1 or g == n:
+            g = _pollard_brent(n, budget)
         stack.append(g)
         stack.append(n // g)
     # tuple.__new__ skips Factorization's checks: each prime was tested above

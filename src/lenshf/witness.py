@@ -17,7 +17,6 @@ string so JSON consumers never round through 53-bit floats.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from math import log2
 from typing import Any, NamedTuple
@@ -284,10 +283,14 @@ def certificate_from_dict(data: dict) -> Certificate:
 
 
 def certificate_to_json(cert: Certificate, include_trace: bool = True) -> str:
+    import json  # imported on use, so that `import lenshf.cli` skips it
+
     return json.dumps(certificate_to_dict(cert, include_trace), indent=2)
 
 
 def certificate_from_json(text: str) -> Certificate:
+    import json
+
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("certificate JSON must be an object")

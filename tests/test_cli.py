@@ -115,10 +115,10 @@ def test_analyze_count_three_of_an_unfactorable_p_by_jacobi_symbols(capsys):
 
 
 def test_analyze_count_three_of_an_unfactorable_p_by_a_found_divisor(capsys):
-    # (±7|p) = +1, but the first Pollard-Brent split leaves 1000033 and
-    # d = (10^24+49)(10^24+121) with (±7|d) = -1, which decides count 3
-    # without splitting d, which Pollard-Brent cannot do within
-    # numtheory.FACTOR_EFFORT
+    # (±7|p) = +1, but the first split (Pollard p-1: 1000033 - 1 is smooth)
+    # leaves 1000033 and d = (10^24+49)(10^24+121) with (±7|d) = -1, which
+    # decides count 3 without splitting d, which neither p-1 nor
+    # Pollard-Brent can do within numtheory.FACTOR_EFFORT
     p = 1000033 * (10**24 + 49) * (10**24 + 121)
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "analyze", str(p), "7")
@@ -367,10 +367,11 @@ def test_import_loads_no_numpy():
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
     # the records are named tuples, so the CLI's cold start skips dataclasses
-    # and the inspect/ast/dis it imports; oracle loads with its subcommand only
+    # and the inspect/ast/dis it imports; oracle loads with its subcommand
+    # only, and json with the options and functions that serialize
     code = (
         "import sys; before = set(sys.modules); import lenshf.cli; "
-        "gained = {'dataclasses', 'inspect', 'lenshf.oracle'} & (set(sys.modules) - before); "
+        "gained = {'dataclasses', 'inspect', 'json', 'lenshf.oracle'} & (set(sys.modules) - before); "
         "assert not gained, f'import lenshf.cli loaded {sorted(gained)}'"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -9,9 +9,11 @@ from __future__ import annotations
 import random
 import time
 import tracemalloc
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lenshf import numtheory
 from lenshf.errors import DomainError, IntegrityError, NotInvertibleError, ResourceError
@@ -497,6 +499,73 @@ def test_factor_effort_cap(monkeypatch):
         factor(1_000_003 * 1_000_033)
 
 
+def test_factor_effort_error_names_the_stage_and_the_effort_spent(monkeypatch):
+    # neither prime P of m has smooth P - 1, so p-1 (1,438 + 2,122 units)
+    # splits nothing and Pollard-Brent runs out, its first rounds cost
+    # 2 + 4 + ... + 1024 units
+    m = (10**24 + 7) * (10**24 + 49)
+    monkeypatch.setattr(numtheory, "FACTOR_EFFORT", 1000)
+    with pytest.raises(ResourceError, match=(
+        f"^factoring effort cap exhausted in Pollard p-1 stage 1 on {m}: "
+        "0 of FACTOR_EFFORT = 1000 units spent, 1438 more needed$"
+    )):
+        factor(m)
+    monkeypatch.setattr(numtheory, "FACTOR_EFFORT", 3000)
+    with pytest.raises(ResourceError, match=(
+        f"^factoring effort cap exhausted in Pollard p-1 stage 2 on {m}: "
+        "1438 of FACTOR_EFFORT = 3000 units spent, 2122 more needed$"
+    )):
+        factor(m)
+    monkeypatch.setattr(numtheory, "FACTOR_EFFORT", 6000)
+    with pytest.raises(ResourceError, match=(
+        f"^factoring effort cap exhausted in Pollard-Brent on {m}: "
+        "5606 of FACTOR_EFFORT = 6000 units spent, 2048 more needed$"
+    )):
+        factor(m)
+
+
+# --- Pollard p-1 ---------------------------------------------------------------
+
+def test_pm1_stage_1_exponent_is_lcm_1_to_1000():
+    assert numtheory._PM1_EXPONENT == lcm(*range(1, 1001))
+    assert numtheory._PM1_EXPONENT.bit_length() == 1438
+    assert numtheory._PM1_STAGE2 == tuple(p for p in _primes_below(10_000) if p > 1000)
+    assert len(numtheory._PM1_STAGE2) == 1061
+
+
+def _start_of_bits(lo, hi):
+    return st.integers(lo, hi).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+
+# One prime of 14-40 bits and one or two of 14-32: Pollard-Brent's cost grows
+# with the second-largest prime, about 2**16 iterations at 32 bits and 2**20
+# (seconds) when two primes of 40 bits both have a P - 1 beyond p-1's reach.
+@seed(20261019)
+@settings(max_examples=25, deadline=None, database=None)
+@given(_start_of_bits(14, 40), st.lists(_start_of_bits(14, 32), min_size=1, max_size=2))
+def test_factor_agrees_with_sympy_on_products_of_14_to_40_bit_primes(big, small):
+    sympy = pytest.importorskip("sympy")
+    m = prod(sympy.nextprime(x) for x in (big, *small))
+    expected = tuple(sorted(sympy.factorint(m).items()))
+    assert factor(m).factors == expected
+    assert factor(m, stop=lambda divisors: False).factors == expected
+
+
+@pytest.mark.parametrize("m, expected, brent_calls", [
+    # 1000033 - 1 = 2^5 * 3 * 11 * 947 divides the stage-1 exponent
+    (1000033 * (10**24 + 49), ((1000033, 1), (10**24 + 49, 1)), 0),
+    # 10079 - 1 = 2 * 5039: only stage 2 tries the prime 5039
+    (10079 * (10**24 + 7), ((10079, 1), (10**24 + 7, 1)), 0),
+    # P - 1 is 1000-smooth for all three, so stage 1 gives g = m and
+    # Pollard-Brent splits each piece that p-1 catches whole
+    (10009 * 10037 * 10061, ((10009, 1), (10037, 1), (10061, 1)), 2),
+])
+def test_factor_splits_with_pm1_before_pollard_brent(monkeypatch, m, expected, brent_calls):
+    calls = _count_calls(monkeypatch, "_pollard_brent")
+    assert factor(m).factors == expected
+    assert calls[0] == brent_calls
+
+
 # --- factor's stop callback ---------------------------------------------------
 
 def test_factor_with_a_stop_that_never_fires_is_factor():
@@ -520,9 +589,10 @@ def test_factor_calls_stop_just_before_each_split():
     assert seen == []
     m = 2**3 * 3 * 10007 * 10009 * 10037
     assert factor(m, stop=stop).factors == ((2, 3), (3, 1), (10007, 1), (10009, 1), (10037, 1))
-    # the small primes with multiplicity, then the piece about to be split;
-    # the first split gives 10007 and 10009*10037, which is tested first
-    assert seen == [[2, 2, 2, 3, 10007 * 10009 * 10037], [10009 * 10037]]
+    # the small primes with multiplicity, then the piece about to be split.
+    # Pollard p-1 makes the first split: 10008 and 10036 are 1000-smooth, so
+    # stage 1 finds g = 10009*10037 and leaves 10007, which is tested first
+    assert seen == [[2, 2, 2, 3, 10007 * 10009 * 10037], [10007, 10009 * 10037]]
 
 
 def test_factor_returns_none_when_stop_fires_before_any_split(monkeypatch):
