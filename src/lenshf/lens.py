@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .errors import DomainError
 from .numtheory import mod_inv
@@ -34,19 +33,17 @@ class LensSpace(namedtuple("LensSpace", "p q")):
         return f"L({self.p},{self.q})"
 
 
-class SpecialCase(NamedTuple):
-    """Inputs with |p| <= 1, which are not lens spaces with p >= 2."""
+class SpecialCase(namedtuple("SpecialCase", "kind p q")):
+    """Inputs with |p| <= 1, which are not lens spaces with p >= 2; kind is
+    THREE_SPHERE or NOT_A_LENS_SPACE."""
 
-    kind: str  # THREE_SPHERE or NOT_A_LENS_SPACE
-    p: int
-    q: int
+    __slots__ = ()
 
 
-class BezoutPair(NamedTuple):
+class BezoutPair(namedtuple("BezoutPair", "s r")):
     """Positive (s, r) with p*s - q*r = 1 and 0 < r < p (r ≡ -q^{-1} mod p)."""
 
-    s: int
-    r: int
+    __slots__ = ()
 
 
 def normalize(p: int, q: int) -> LensSpace | SpecialCase:

@@ -12,7 +12,7 @@ is verified by exact determinant evaluation before it is returned.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import IntegrityError, ResourceError
 from .lens import BezoutPair, LensSpace, bezout
@@ -26,11 +26,10 @@ Q_BRANCH = "q-branch"
 R_BRANCH = "r-branch"
 
 
-class PrimeShift(NamedTuple):
-    branch: str
-    k: int
-    q_prime: int
-    s_prime: int
+class PrimeShift(namedtuple("PrimeShift", "branch k q_prime s_prime")):
+    """A prime q_prime ≡ 3 (mod 4) at shift k of branch, as find_prime_shift returns it."""
+
+    __slots__ = ()
 
 
 def find_prime_shift(lens: LensSpace, pair: BezoutPair) -> PrimeShift:
@@ -81,9 +80,9 @@ def solve_n2(lens: LensSpace, *, fact: Factorization | None = None) -> Certifica
     For odd p, one symbol jacobi(q, p) does this for d = p: when p ≡ 1
     (mod 4), jacobi(-1, p) = +1 and both signs share it; when p ≡ 3
     (mod 4) exactly one sign survives.  Then factor(p) passes the divisors
-    it has found to this check before each Pollard-Brent split; once no
-    sign is left it stops and None is returned.  sqrt_mod runs only for
-    the surviving signs.
+    it has found to this check before each split, by Pollard p-1 or
+    Pollard-Brent; once no sign is left it stops and None is returned.
+    sqrt_mod runs only for the surviving signs.
     """
     p, q = lens.p, lens.q
     signs = (1, -1)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import log2
-from typing import Any, NamedTuple
 
 from .errors import DomainError, ResourceError
 from .lens import LensSpace
@@ -62,7 +61,9 @@ class Witness(namedtuple("Witness", "a t l")):
         return cls([a1, a2], [t1, t2], [[0, l12], [l12, 0]])
 
 
-class ConstructionTrace(NamedTuple):
+class ConstructionTrace(namedtuple(
+    "ConstructionTrace", "branch k q_prime s_prime eps z z_inv eps_prime D n_form z0 C0 w"
+)):
     """Every intermediate of the n = 2 construction, for audit.
 
     q_prime is the prime ≡ 3 (mod 4) found at shift k; s_prime is the
@@ -78,19 +79,7 @@ class ConstructionTrace(NamedTuple):
     across L(p, r) = L(p, q).
     """
 
-    branch: str
-    k: int
-    q_prime: int
-    s_prime: int
-    eps: int
-    z: int
-    z_inv: int
-    eps_prime: int
-    D: int
-    n_form: int
-    z0: int
-    C0: int
-    w: int
+    __slots__ = ()
 
 
 # Field names in declaration order: the order of the JSON trace object and of
@@ -98,14 +87,11 @@ class ConstructionTrace(NamedTuple):
 TRACE_FIELDS = ConstructionTrace._fields
 
 
-class Certificate(NamedTuple):
-    """A witness together with its exactly evaluated determinant."""
+class Certificate(namedtuple("Certificate", "lens witness det valid trace", defaults=(None,))):
+    """A witness together with its exactly evaluated determinant; trace is
+    the ConstructionTrace of a pipeline-built witness, otherwise None."""
 
-    lens: LensSpace
-    witness: Witness
-    det: int
-    valid: bool
-    trace: ConstructionTrace | None = None  # for pipeline-built witnesses
+    __slots__ = ()
 
 
 def assemble_matrix(lens: LensSpace, w: Witness) -> list[list[int]]:
@@ -216,7 +202,7 @@ def pad(w: Witness) -> Witness:
 _TRACE_INT_FIELDS = tuple(name for name in TRACE_FIELDS if name != "branch")
 
 
-def _parse_int(value: Any) -> int:
+def _parse_int(value: object) -> int:
     if isinstance(value, str):  # the common case, tested first
         # int() alone would also take "0_7", " 7" and non-ASCII digits; one
         # sign at most, so "--7" gets this message rather than int()'s

@@ -375,6 +375,10 @@ def test_import_loads_no_numpy():
         "assert not gained, f'import lenshf.cli loaded {sorted(gained)}'"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    # every record is a collections.namedtuple subclass, so the package needs
+    # no typing; -S keeps site's .pth hooks from importing it first
+    code = "import sys, lenshf.cli; assert 'typing' not in sys.modules, 'typing imported'"
+    subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True, timeout=60)
 
 
 # --- verify ------------------------------------------------------------------

@@ -26,6 +26,18 @@ def test_determinant_convention():
     assert QuadForm(-7, 2, -1).determinant() == 3
 
 
+def test_quadform_is_an_immutable_named_tuple():
+    f = QuadForm(2, 3, 7)
+    A, B, C = f
+    assert (A, B, C) == (2, 3, 7) and f._fields == ("A", "B", "C")
+    assert f._replace(B=-1) == QuadForm(2, -1, 7) and type(f._replace(B=-1)) is QuadForm
+    assert repr(f) == "QuadForm(A=2, B=3, C=7)"
+    with pytest.raises(AttributeError):
+        f.A = 0
+    with pytest.raises(AttributeError):
+        f.extra = 0
+
+
 def test_construct_representing_form_known():
     f = construct_representing_form(-7, 3, 2)
     assert (f.A, f.B, f.C) == (-7, 2, -1)

@@ -83,6 +83,19 @@ def test_find_prime_shift_known_values():
     assert shift.q_prime == 3 and shift.k == 1
 
 
+def test_prime_shift_is_an_immutable_named_tuple():
+    shift = find_prime_shift(LensSpace(5, 2), bezout(LensSpace(5, 2)))
+    branch, k, q_prime, s_prime = shift
+    assert (branch, k, q_prime, s_prime) == ("q-branch", 1, 7, 3)
+    assert shift._fields == ("branch", "k", "q_prime", "s_prime")
+    assert shift._replace(k=2) == PrimeShift("q-branch", 2, 7, 3)
+    assert type(shift._replace(k=2)) is PrimeShift
+    with pytest.raises(AttributeError):
+        shift.k = 0
+    with pytest.raises(AttributeError):
+        shift.extra = 0
+
+
 def test_find_prime_shift_postcondition():
     rng = random.Random(51)
     for _ in range(300):
