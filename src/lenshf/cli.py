@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: analyze (one lens space), table (sweep p up to a bound),
-verify (recheck a certificate file), oracle (the brute-force cross-checks).
+verify (recheck a certificate file).
 Exit codes: 0 success, 1 verification mismatch, 2 domain error, 3 resource
 or integrity error, 64 usage error, 65 certificate parse failure, 141 closed pipe.
 """
@@ -16,7 +16,6 @@ from math import gcd
 from .errors import DomainError, IntegrityError, ResourceError
 from .lens import THREE_SPHERE, LensSpace, SpecialCase, normalize
 from .numtheory import factor
-from .quadform import QuadForm
 from .solver import minimal_planar_boundaries, solve_n3
 from .witness import TRACE_FIELDS, _check_verify_budget, certificate_from_json, certificate_to_json, verify
 
@@ -140,33 +139,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    from . import oracle  # here, so the other subcommands do not load it
-
-    if args.oracle_cmd == "qr":
-        print("true" if oracle.brute_qr(args.a, args.m) else "false")
-        return EXIT_OK
-    if args.oracle_cmd == "n2":
-        lens = LensSpace(args.p, args.q)
-        hit = oracle.brute_n2(lens, args.bound)
-        print("none" if hit is None else f"a={hit[0]} t={hit[1]}")
-        return EXIT_OK
-    if args.oracle_cmd == "n3":
-        lens = LensSpace(args.p, args.q)
-        w = oracle.brute_n3(lens, args.box)
-        if w is None:
-            print("none")
-        else:
-            print(f"a={w.a} t={w.t} l12={w.l[0][1]}")
-        return EXIT_OK
-    if args.oracle_cmd == "form":
-        f = QuadForm(args.A, args.B, args.C)
-        hit = oracle.brute_form_represents(f, args.n, args.bound)
-        print("none" if hit is None else f"x={hit[0]} y={hit[1]}")
-        return EXIT_OK
-    raise AssertionError(f"unhandled oracle subcommand {args.oracle_cmd}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lenshf",
@@ -191,27 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="recheck a certificate JSON file")
     pv.add_argument("path")
     pv.set_defaults(func=cmd_verify)
-
-    po = sub.add_parser("oracle", help="brute-force cross-checks")
-    osub = po.add_subparsers(dest="oracle_cmd", required=True)
-    oqr = osub.add_parser("qr", help="is a a square mod m (full scan)")
-    oqr.add_argument("a", type=int)
-    oqr.add_argument("m", type=int)
-    on2 = osub.add_parser("n2", help="scan for a one-pair witness")
-    on2.add_argument("p", type=int)
-    on2.add_argument("q", type=int)
-    on2.add_argument("--bound", type=int, default=None)
-    on3 = osub.add_parser("n3", help="scan a box for a two-pair witness")
-    on3.add_argument("p", type=int)
-    on3.add_argument("q", type=int)
-    on3.add_argument("box", type=int)
-    oform = osub.add_parser("form", help="scan for a primitive representation")
-    oform.add_argument("A", type=int)
-    oform.add_argument("B", type=int)
-    oform.add_argument("C", type=int)
-    oform.add_argument("n", type=int)
-    oform.add_argument("bound", type=int)
-    po.set_defaults(func=cmd_oracle)
 
     return parser
 

@@ -27,13 +27,10 @@ def brute_qr(a: int, m: int) -> bool:
     return any(x * x % m == a for x in range(m))
 
 
-def brute_n2(lens: LensSpace, bound: int | None = None) -> tuple[int, int] | None:
-    """First (a, t) with t*p + q*a^2 = ±1, scanning a in [0, min(p, bound))."""
-    if bound is not None and bound < 0:
-        raise DomainError(f"bound must be nonnegative, got {bound}")
+def brute_n2(lens: LensSpace) -> tuple[int, int] | None:
+    """First (a, t) with t*p + q*a^2 = ±1, scanning a in [0, p)."""
     p, q = lens.p, lens.q
-    limit = p if bound is None else min(bound, p)
-    for a in range(limit):
+    for a in range(p):
         v = q * a * a % p
         for delta in (1, -1):
             if v == delta % p:

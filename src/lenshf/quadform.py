@@ -63,6 +63,6 @@ def solvable_congruence(n: int, D: int) -> int | None:
     if gcd(target, m) == 1:
         return numtheory.sqrt_mod(target, m, numtheory.factor(m))
     if m > CONGRUENCE_SCAN_MAX:
-        raise ResourceError(f"solvable_congruence would scan [0, {m}), "
+        raise ResourceError(f"solvable_congruence would scan z = 0 .. {m // 2} for |n| = {m}, "
                             f"above the cap of {CONGRUENCE_SCAN_MAX}")
     return next((z for z in range(m // 2 + 1) if (z * z + D) % m == 0), None)

@@ -216,7 +216,7 @@ def _parse_int(value: object) -> int:
     raise ValueError(f"expected integer or decimal string, got {value!r}")
 
 
-def _parse_list(value: Any) -> list:
+def _parse_list(value: object) -> list:
     if not isinstance(value, list):
         raise ValueError(f"expected a JSON array, got {value!r}")
     return value

@@ -152,6 +152,16 @@ def test_usage_errors_exit_64(capsys):
     assert code == 64
     code, _, _ = run_cli(capsys, "no-such-command")
     assert code == 64
+    code, _, err = run_cli(capsys, "oracle", "qr", "2", "7")
+    assert code == 64 and "invalid choice" in err and "oracle" in err
+
+
+def test_readme_documents_exactly_the_subcommands():
+    (subparsers,) = [a for a in lenshf.cli.build_parser()._actions if a.dest == "command"]
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        documented = [line.split()[2] for line in fh if line.startswith("### `lenshf ")]
+    assert sorted(documented) == sorted(subparsers.choices)
 
 
 # --- table -------------------------------------------------------------------
@@ -367,8 +377,8 @@ def test_import_loads_no_numpy():
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
     # the records are named tuples, so the CLI's cold start skips dataclasses
-    # and the inspect/ast/dis it imports; oracle loads with its subcommand
-    # only, and json with the options and functions that serialize
+    # and the inspect/ast/dis it imports; the CLI never loads oracle, and
+    # loads json only with the options and functions that serialize
     code = (
         "import sys; before = set(sys.modules); import lenshf.cli; "
         "gained = {'dataclasses', 'inspect', 'json', 'lenshf.oracle'} & (set(sys.modules) - before); "
@@ -528,39 +538,4 @@ def test_verify_bad_lens_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     code, _, err = run_cli(capsys, "verify", str(path))
-    assert code == 2
-
-
-# --- oracle ------------------------------------------------------------------
-
-def test_oracle_qr(capsys):
-    code, out, _ = run_cli(capsys, "oracle", "qr", "2", "7")
-    assert code == 0 and out.strip() == "true"
-    code, out, _ = run_cli(capsys, "oracle", "qr", "3", "7")
-    assert code == 0 and out.strip() == "false"
-
-
-def test_oracle_n2(capsys):
-    code, out, _ = run_cli(capsys, "oracle", "n2", "7", "3")
-    assert code == 0 and out.strip() == "a=3 t=-4"
-    code, out, _ = run_cli(capsys, "oracle", "n2", "5", "2")
-    assert code == 0 and out.strip() == "none"
-
-
-def test_oracle_n3(capsys):
-    code, out, _ = run_cli(capsys, "oracle", "n3", "3", "1", "0")
-    assert code == 0 and out.strip() == "none"
-    code, out, _ = run_cli(capsys, "oracle", "n3", "5", "2", "7")
-    assert code == 0 and out.startswith("a=")
-
-
-def test_oracle_form(capsys):
-    code, out, _ = run_cli(capsys, "oracle", "form", "1", "0", "1", "2", "5")
-    assert code == 0 and out.strip() == "x=1 y=1"
-    code, out, _ = run_cli(capsys, "oracle", "form", "1", "0", "1", "3", "50")
-    assert code == 0 and out.strip() == "none"
-
-
-def test_oracle_domain_error(capsys):
-    code, _, err = run_cli(capsys, "oracle", "n2", "6", "3")
     assert code == 2

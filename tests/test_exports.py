@@ -3,7 +3,10 @@ cannot creep back unnoticed."""
 
 from __future__ import annotations
 
+import importlib
 import inspect
+import pkgutil
+import typing
 
 import lenshf
 
@@ -64,3 +67,35 @@ def test_public_surface_is_exactly_the_solver_kernel():
     for name, option in (("solve_n2", "fact"), ("minimal_planar_boundaries", "fact"), ("factor", "stop")):
         param = inspect.signature(getattr(lenshf, name)).parameters[option]
         assert param.kind is inspect.Parameter.KEYWORD_ONLY and param.default is None, name
+
+
+def _annotated_callables(module):
+    """Each function and each method of each class defined in module."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj.__qualname__, obj
+        elif inspect.isclass(obj):
+            for attr in vars(obj).values():
+                if isinstance(attr, (staticmethod, classmethod)):
+                    attr = attr.__func__
+                elif isinstance(attr, property):
+                    attr = attr.fget
+                if inspect.isfunction(attr):
+                    yield attr.__qualname__, attr
+
+
+def test_every_annotation_resolves():
+    # annotations are strings (from __future__ import annotations), so a name
+    # missing from a module shows only when something evaluates them
+    checked, unresolved = 0, []
+    for info in pkgutil.iter_modules(lenshf.__path__):
+        module = importlib.import_module(f"lenshf.{info.name}")
+        for qualname, func in _annotated_callables(module):
+            checked += 1
+            try:
+                typing.get_type_hints(func)
+            except NameError as exc:
+                unresolved.append(f"{module.__name__}.{qualname}: {exc}")
+    assert checked > 50 and not unresolved, unresolved

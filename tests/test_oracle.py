@@ -45,6 +45,7 @@ def test_brute_n2_known_values():
     assert brute_n2(LensSpace(2, 1)) == (1, 0)
     assert brute_n2(LensSpace(4, 1)) == (1, 0)
     assert brute_n2(LensSpace(5, 2)) is None
+    assert brute_n2(LensSpace(7, 3)) == (3, -4)  # 3·a² mod 7 misses ±1 for a < 3
 
 
 def test_brute_n2_results_satisfy_identity():
@@ -59,14 +60,6 @@ def test_brute_n2_results_satisfy_identity():
             assert abs(t * p + q * a * a) == 1
 
 
-def test_brute_n2_respects_bound():
-    # L(7,3): first hit at a = 3 (3·a² mod 7 misses ±1 for a < 3)
-    lens = LensSpace(7, 3)
-    assert brute_n2(lens) == (3, -4)
-    assert brute_n2(lens, bound=3) is None
-    assert brute_n2(lens, bound=4) == (3, -4)
-
-
 def test_brute_n3_known_values():
     assert brute_n3(LensSpace(3, 1), 0) is None  # a = 0 forces det ≡ 0 (mod 3)
 
@@ -78,11 +71,6 @@ def test_brute_n3_known_values():
     assert w is not None
     assert verify(LensSpace(5, 2), w).valid
     assert all(abs(v) <= 7 for v in w.a + w.t + [w.l[0][1]])
-
-
-def test_brute_n2_rejects_negative_bound():
-    with pytest.raises(DomainError):
-        brute_n2(LensSpace(7, 3), -1)
 
 
 def test_brute_n3_rejects_negative_box():
