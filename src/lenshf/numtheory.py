@@ -8,8 +8,9 @@ concurrently.  Square roots are normalized so results are deterministic:
 sqrt_mod_prime returns min(z, pi - z) and sqrt_mod returns the smallest
 nonnegative root of the congruence.
 
-Primality is proven below MR_DETERMINISTIC_BOUND and Baillie-PSW tested
-above it, so factor's pieces there are probable primes.
+Primality is proven below MR_DETERMINISTIC_BOUND (below 10^8 by the trial
+primes alone) and Baillie-PSW tested above it, so factor's pieces there are
+probable primes.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ def _primes_below(n: int) -> tuple[int, ...]:
 # The 1,229 primes below TRIAL_BOUND (sieved in under 1 ms) and their 14,277-bit
 # product, whose gcd with m is the product of m's distinct primes among them.
 _TRIAL_PRIMES = _primes_below(TRIAL_BOUND)
+_TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
-_SMALL_PRIMES = _TRIAL_PRIMES[:25]  # the primes up to 97
+_SMALL_PRODUCT = prod(_TRIAL_PRIMES[:25])  # the primes up to 97: is_prime's first screen
 
 
 def _prime_power_product(bound: int) -> int:
@@ -156,25 +158,20 @@ def _strong_lucas_prp(m: int) -> bool:
 
 
 def is_prime(m: int) -> bool:
-    """Miller-Rabin primality, then Baillie-PSW above the deterministic range.
-
-    Deterministic (13 fixed bases) below MR_DETERMINISTIC_BOUND.  Above it,
-    one gcd with the product of the primes below TRIAL_BOUND rejects m with
-    such a factor; the rest get one strong round to base 2 and, if they
-    pass it, one strong Lucas test (_strong_lucas_prp).  No composite is
+    """The sieve below TRIAL_BOUND; above it, gcds with the products of the
+    primes up to 97 and below TRIAL_BOUND reject m with such a factor, and
+    prove the rest prime below TRIAL_BOUND**2 = 10^8 with no Miller-Rabin
+    round.  Then Miller-Rabin, deterministic (13 fixed bases) below
+    MR_DETERMINISTIC_BOUND; above it one strong round to base 2 and, if m
+    passes it, one strong Lucas test (_strong_lucas_prp).  No composite is
     known to pass both, and none exists below 2**64.
     """
-    if m < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if m == p:
-            return True
-        if m % p == 0:
-            return False
-    if m < 101 * 101:  # no prime factor up to 97, and 101 is the next prime
-        return True
-    if m >= MR_DETERMINISTIC_BOUND and gcd(m, _TRIAL_PRODUCT) != 1:
-        return False  # m > TRIAL_BOUND, so a proper factor
+    if m < TRIAL_BOUND:
+        return m in _TRIAL_PRIME_SET
+    if gcd(m, _SMALL_PRODUCT) != 1 or gcd(m, _TRIAL_PRODUCT) != 1:
+        return False  # m >= TRIAL_BOUND, so a proper factor
+    if m < TRIAL_BOUND * TRIAL_BOUND:
+        return True  # no prime factor up to isqrt(m)
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2

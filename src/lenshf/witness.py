@@ -26,7 +26,7 @@ from .lens import LensSpace
 
 class Witness(namedtuple("Witness", "a t l")):
     """Boundary data: length-n lists a and t plus a symmetric n x n linking
-    matrix l with zero diagonal."""
+    matrix l with zero diagonal; construction and _replace check all of it."""
 
     __slots__ = ()
 
@@ -54,11 +54,13 @@ class Witness(namedtuple("Witness", "a t l")):
 
     @classmethod
     def single(cls, a: int, t: int) -> "Witness":
-        return cls([a], [t], [[0]])
+        """([a], [t], [[0]]), built without re-checking, like factor()'s records: it passes by shape."""
+        return tuple.__new__(cls, ([a], [t], [[0]]))
 
     @classmethod
     def pair(cls, a1: int, a2: int, t1: int, t2: int, l12: int) -> "Witness":
-        return cls([a1, a2], [t1, t2], [[0, l12], [l12, 0]])
+        """([a1, a2], [t1, t2], [[0, l12], [l12, 0]]), also unchecked: symmetric, zero diagonal."""
+        return tuple.__new__(cls, ([a1, a2], [t1, t2], [[0, l12], [l12, 0]]))
 
 
 class ConstructionTrace(namedtuple(

@@ -139,8 +139,8 @@ def test_is_prime_small_values():
 
 
 def test_is_prime_agrees_with_sieve_below_20000():
-    # spans the trial-division shortcut, which answers without Miller-Rabin
-    # below 101**2 = 10201
+    # spans TRIAL_BOUND = 10^4: the sieve answers below it, the trial gcds
+    # (with no Miller-Rabin round) above it
     primes = set(_primes_below(20000))
     for m in range(20000):
         assert is_prime(m) == (m in primes), m
@@ -316,9 +316,10 @@ def test_is_prime_runs_the_lucas_test_only_after_base_2(monkeypatch):
 # --- the product of the primes below TRIAL_BOUND ------------------------------
 
 def test_small_primes_are_the_primes_below_100():
-    # is_prime answers from them alone below 101**2
-    assert numtheory._SMALL_PRIMES == tuple(_primes_below(100))
-    assert len(numtheory._SMALL_PRIMES) == 25
+    # is_prime looks m up among the primes below TRIAL_BOUND, and screens
+    # larger m with the product of the 25 primes below 100 first
+    assert numtheory._TRIAL_PRIME_SET == frozenset(_primes_below(numtheory.TRIAL_BOUND))
+    assert numtheory._SMALL_PRODUCT == prod(_primes_below(100))
 
 
 def test_is_prime_screen_rejects_a_factor_below_trial_bound_before_any_base(monkeypatch):
@@ -331,14 +332,42 @@ def test_is_prime_screen_rejects_a_factor_below_trial_bound_before_any_base(monk
     bases.clear()
     assert is_prime(p)
     assert bases == [2] and lucas == [p]
-    # below MR_DETERMINISTIC_BOUND the fixed bases run, with no screen and no
-    # Lucas test
+    # below MR_DETERMINISTIC_BOUND the same screen runs first, then the fixed
+    # bases, with no Lucas test
     bases.clear()
     lucas.clear()
     assert not is_prime(9973 * 1_000_003)
-    assert bases == [2] and lucas == []
+    assert bases == lucas == []
     bases.clear()
     assert is_prime(2**61 - 1)
+    assert bases == list(numtheory._MR_DETERMINISTIC_BASES) and lucas == []
+
+
+def test_is_prime_agrees_with_sympy_between_trial_bound_and_its_square(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    bases, _ = _record_rounds(monkeypatch)
+    rng = random.Random(20)
+    for m in [rng.randrange(10**4, 10**8) for _ in range(3000)]:
+        assert is_prime(m) == sympy.isprime(m), m
+    assert bases == []  # the trial primes alone decide below 10^8
+
+
+def test_is_prime_needs_no_miller_rabin_round_below_trial_bound_squared(monkeypatch):
+    bases, lucas = _record_rounds(monkeypatch)
+    expected = {
+        9973: True, 9999: False, 10**4: False, 10007: True,
+        9973**2: False,  # 99460729: the largest prime below TRIAL_BOUND, squared
+        99999989: True,  # the largest prime below 10^8
+        10**8: False,
+    }
+    for m, want in expected.items():
+        assert is_prime(m) is want, m
+    assert bases == lucas == []
+    # 10007**2 = 100140049 has no factor below 10^4, so it reaches the bases
+    assert not is_prime(10007**2)
+    assert bases == [2] and lucas == []
+    bases.clear()
+    assert is_prime(100000007)  # the least prime above 10^8
     assert bases == list(numtheory._MR_DETERMINISTIC_BASES) and lucas == []
 
 

@@ -56,6 +56,18 @@ def test_witness_validation():
             Witness.single(1, 0)._replace(a=a, t=t, l=l)
 
 
+def test_builders_equal_the_checked_constructor():
+    rng = random.Random(20)
+    for _ in range(2000):
+        # entries of up to 2, 64 and 600 bits, zero and negative ones included
+        a1, a2, t1, t2, l12 = (rng.randint(-(1 << b), 1 << b) for b in rng.choices((2, 64, 600), k=5))
+        for built, checked in (
+            (Witness.single(a1, t1), Witness([a1], [t1], [[0]])),
+            (Witness.pair(a1, a2, t1, t2, l12), Witness([a1, a2], [t1, t2], [[0, l12], [l12, 0]])),
+        ):
+            assert built == checked and type(built) is type(checked) is Witness
+
+
 def test_witness_records_are_immutable_named_tuples():
     w = Witness.pair(1, 0, -1, -7, -2)
     a, t, l = w
