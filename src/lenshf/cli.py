@@ -87,7 +87,7 @@ def cmd_table(args) -> int:
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            lens = LensSpace(p, q)
+            lens = tuple.__new__(LensSpace, (p, q))  # skips LensSpace's checks: 0 < q < p, gcd 1 above
             if q in squares or p - q in squares:
                 count, cert = minimal_planar_boundaries(lens, fact=fact)
                 if count != 2:

@@ -8,9 +8,9 @@ concurrently.  Square roots are normalized so results are deterministic:
 sqrt_mod_prime returns min(z, pi - z) and sqrt_mod returns the smallest
 nonnegative root of the congruence.
 
-Primality is proven below MR_DETERMINISTIC_BOUND (below 10^8 by the trial
-primes alone) and Baillie-PSW tested above it, so factor's pieces there are
-probable primes.
+Primality is proven below 10^8 by the trial primes alone; from 10^8 up
+is_prime runs Baillie-PSW, which is proven below 2**64 and has no known
+counterexample above it, so factor's pieces there are probable primes.
 """
 
 from __future__ import annotations
@@ -21,11 +21,6 @@ from collections.abc import Callable
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, IntegrityError, NotInvertibleError, ResourceError
-
-# Below this bound, Miller-Rabin with the first 13 prime bases is a proven
-# deterministic primality test.
-MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 TRIAL_BOUND = 10_000
 FACTOR_EFFORT = 4_000_000
@@ -161,10 +156,10 @@ def is_prime(m: int) -> bool:
     """The sieve below TRIAL_BOUND; above it, gcds with the products of the
     primes up to 97 and below TRIAL_BOUND reject m with such a factor, and
     prove the rest prime below TRIAL_BOUND**2 = 10^8 with no Miller-Rabin
-    round.  Then Miller-Rabin, deterministic (13 fixed bases) below
-    MR_DETERMINISTIC_BOUND; above it one strong round to base 2 and, if m
-    passes it, one strong Lucas test (_strong_lucas_prp).  No composite is
-    known to pass both, and none exists below 2**64.
+    round.  From 10^8 up, Baillie-PSW: one strong round to base 2 and, if
+    m passes it, one strong Lucas test (_strong_lucas_prp).  No base-2
+    pseudoprime below 2**64 (Feitsma's list) passes both (Gilchrist), so the
+    answer is proven there; above it no composite is known to pass both.
     """
     if m < TRIAL_BOUND:
         return m in _TRIAL_PRIME_SET
@@ -176,8 +171,6 @@ def is_prime(m: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if m < MR_DETERMINISTIC_BOUND:
-        return not any(_mr_witness(m, d, s, b) for b in _MR_DETERMINISTIC_BASES)
     return not _mr_witness(m, d, s, 2) and _strong_lucas_prp(m)
 
 

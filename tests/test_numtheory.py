@@ -295,14 +295,14 @@ def _record_rounds(monkeypatch):
 
 def test_factor_runs_one_base_2_round_and_one_lucas_test(monkeypatch):
     bases, lucas = _record_rounds(monkeypatch)
-    m = 2**127 - 1  # Mersenne prime above MR_DETERMINISTIC_BOUND
+    m = 2**127 - 1  # Mersenne prime above 10^8: Baillie-PSW
     assert factor(m).factors == ((m, 1),)
     assert bases == [2] and lucas == [m]
 
 
 def test_is_prime_runs_the_lucas_test_only_after_base_2(monkeypatch):
-    # above MR_DETERMINISTIC_BOUND: Baillie-PSW, and a composite that base 2
-    # witnesses never reaches the Lucas test
+    # from 10^8 up: Baillie-PSW, and a composite that base 2 witnesses never
+    # reaches the Lucas test
     bases, lucas = _record_rounds(monkeypatch)
     m = 2**127 - 1
     assert is_prime(m)
@@ -324,7 +324,7 @@ def test_small_primes_are_the_primes_below_100():
 
 def test_is_prime_screen_rejects_a_factor_below_trial_bound_before_any_base(monkeypatch):
     bases, lucas = _record_rounds(monkeypatch)
-    p = 2**127 - 1  # Mersenne prime above MR_DETERMINISTIC_BOUND
+    p = 2**127 - 1  # Mersenne prime above 2**64
     assert not is_prime(9973 * p)  # 9973 is the largest prime below TRIAL_BOUND
     assert bases == lucas == []
     assert not is_prime(10007 * p)  # 10007 is the next prime: base 2 finds it
@@ -332,15 +332,14 @@ def test_is_prime_screen_rejects_a_factor_below_trial_bound_before_any_base(monk
     bases.clear()
     assert is_prime(p)
     assert bases == [2] and lucas == [p]
-    # below MR_DETERMINISTIC_BOUND the same screen runs first, then the fixed
-    # bases, with no Lucas test
+    # below 2**64 the same screen runs first, then the same base 2 and Lucas test
     bases.clear()
     lucas.clear()
     assert not is_prime(9973 * 1_000_003)
     assert bases == lucas == []
     bases.clear()
     assert is_prime(2**61 - 1)
-    assert bases == list(numtheory._MR_DETERMINISTIC_BASES) and lucas == []
+    assert bases == [2] and lucas == [2**61 - 1]
 
 
 def test_is_prime_agrees_with_sympy_between_trial_bound_and_its_square(monkeypatch):
@@ -368,10 +367,10 @@ def test_is_prime_needs_no_miller_rabin_round_below_trial_bound_squared(monkeypa
     assert bases == [2] and lucas == []
     bases.clear()
     assert is_prime(100000007)  # the least prime above 10^8
-    assert bases == list(numtheory._MR_DETERMINISTIC_BASES) and lucas == []
+    assert bases == [2] and lucas == [100000007]
 
 
-@pytest.mark.parametrize("bits", [90, 128, 256, 512])
+@pytest.mark.parametrize("bits", [27, 32, 48, 64, 81, 90, 128, 256, 512])
 def test_is_prime_agrees_with_sympy_on_random_odd_values(bits):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(bits)
@@ -383,18 +382,27 @@ def test_is_prime_agrees_with_sympy_on_random_odd_values(bits):
 
 def test_is_prime_agrees_with_sympy_past_the_deterministic_bound():
     sympy = pytest.importorskip("sympy")
-    start = numtheory.MR_DETERMINISTIC_BOUND
-    primes = [m for m in range(start, start + 3000) if sympy.isprime(m)]
-    assert len(primes) > 20
-    assert [m for m in range(start, start + 3000) if is_prime(m)] == primes
+    # 2**64, below which Baillie-PSW is proven, and the least strong pseudoprime
+    # to the first 13 prime bases
+    for start in (2**64, 3_317_044_064_679_887_385_961_981):
+        primes = [m for m in range(start, start + 3000) if sympy.isprime(m)]
+        assert len(primes) > 20
+        assert [m for m in range(start, start + 3000) if is_prime(m)] == primes
 
 
 # --- the two halves of Baillie-PSW ------------------------------------------
 
 STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199)  # OEIS A217255
-STRONG_BASE_2_PSEUDOPRIMES = (2047, 3277, 4033, 3215031751)
+# the last four are strong pseudoprimes to every prime base up to 19, up to 31,
+# to the first 12 and to the first 13 prime bases; none has a prime factor below
+# 10^4, so only the Lucas test rejects them
+STRONG_BASE_2_PSEUDOPRIMES = (
+    2047, 3277, 4033, 3215031751,
+    341550071728321, 3825123056546413051,
+    318665857834031151167461, 3317044064679887385961981,
+)
 # k with 6k+1, 12k+1 and 18k+1 all prime and their product, a Carmichael
-# number, above MR_DETERMINISTIC_BOUND
+# number, above 2**64
 CHERNICK_K = (13679106, 13679690, 13679815, 13680576, 13680921, 13681646)
 
 
@@ -420,6 +428,7 @@ def test_strong_base_2_pseudoprimes_fail_the_lucas_test():
     for m in STRONG_BASE_2_PSEUDOPRIMES + (1093**2, 3511**2):
         assert _passes_base_2(m), m
         assert not numtheory._strong_lucas_prp(m), m
+        assert not is_prime(m), m
 
 
 def test_strong_lucas_rejects_squares_before_searching_for_d(monkeypatch):
@@ -445,7 +454,7 @@ def test_chernick_numbers_above_the_bound_agree_with_sympy():
         factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
         assert all(sympy.isprime(f) for f in factors), k
         m = prod(factors)
-        assert m > numtheory.MR_DETERMINISTIC_BOUND
+        assert m > 2**64
         assert pow(2, m - 1, m) == 1  # a Fermat pseudoprime to every coprime base
         assert is_prime(m) == sympy.isprime(m), k
 
