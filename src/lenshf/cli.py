@@ -16,7 +16,7 @@ from math import gcd
 from .errors import DomainError, IntegrityError, ResourceError
 from .lens import THREE_SPHERE, LensSpace, SpecialCase, normalize
 from .numtheory import factor
-from .solver import minimal_planar_boundaries, solve_n3
+from .solver import R_BRANCH, _n2_from_mirror, _n3_from_partner, minimal_planar_boundaries, solve_n3
 from .witness import TRACE_FIELDS, _check_verify_budget, certificate_from_json, certificate_to_json, verify
 
 EXIT_OK = 0
@@ -72,29 +72,65 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _table_rows(p: int):
+    """(q, count, cert) for each L(p, q) in ascending q, each certificate
+    the one minimal_planar_boundaries gives, each verified once.
+
+    Count 2 iff q*a^2 ≡ ±1 (mod p) is solvable, i.e. iff q or p - q is a
+    unit square.  Squaring 1..p//2 lists every square; no gcd is needed, as
+    the square of a non-unit is a non-unit, never q or p - q.  Count-2 rows
+    run the solver with p factored once; count-3 rows go straight to the
+    n = 2 construction.
+
+    A row whose partner row comes later leaves it its certificate, from
+    which the partner builds and verifies its own at its turn: the mirror
+    L(p, p - q) when exactly one of q, p - q is a square (when both are,
+    each row takes δ = +1 with a different root), and on count 3 the Bezout
+    partner L(p, r), r = -q^{-1} mod p.
+    """
+    fact = factor(p)
+    squares = {a * a % p for a in range(1, p // 2 + 1)}
+    later = {}  # a later row's q -> the certificate of its partner row (trace None on count 2)
+    for q in range(1, p):
+        if gcd(p, q) != 1:
+            continue
+        lens = tuple.__new__(LensSpace, (p, q))  # skips LensSpace's checks: 0 < q < p, gcd 1 above
+        if q in later:
+            partner = later.pop(q)
+            if partner.trace is None:
+                yield q, 2, _n2_from_mirror(lens, partner)
+            else:
+                yield q, 3, _n3_from_partner(lens, partner) or solve_n3(lens)
+        elif q in squares or p - q in squares:
+            count, cert = minimal_planar_boundaries(lens, fact=fact)
+            if count != 2:
+                raise IntegrityError(f"{lens}: ±{q} is a square mod {p}, but the solver says {count}")
+            if q < p - q and (q in squares) != (p - q in squares):
+                later[p - q] = cert
+            yield q, 2, cert
+        else:
+            cert = solve_n3(lens)
+            # r = -q^{-1} mod p from the trace, without a modular inverse: an
+            # r-branch prime is r + k*p, and a q-branch witness is scaled by
+            # w = r (w = 1 when r = q, which has no partner)
+            t = cert.trace
+            r = t.q_prime - t.k * p if t.branch == R_BRANCH else t.w
+            if r > q:
+                later[r] = cert
+            yield q, 3, cert
+
+
 def cmd_table(args) -> int:
     if args.pmax < 2:
         raise DomainError(f"pmax must be >= 2, got {args.pmax}")
     if args.jsonl:
         import json
     for p in range(2, args.pmax + 1):
-        fact = factor(p)
-        # Count 2 iff q*a^2 ≡ ±1 (mod p) is solvable, i.e. iff q or p - q is
-        # a unit square.  Squaring 1..p//2 lists every square; no gcd is
-        # needed, as the square of a non-unit is a non-unit, never q or p - q.
-        squares = {a * a % p for a in range(1, p // 2 + 1)}
         count2 = count3 = 0
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            lens = tuple.__new__(LensSpace, (p, q))  # skips LensSpace's checks: 0 < q < p, gcd 1 above
-            if q in squares or p - q in squares:
-                count, cert = minimal_planar_boundaries(lens, fact=fact)
-                if count != 2:
-                    raise IntegrityError(f"{lens}: ±{q} is a square mod {p}, but the solver says {count}")
+        for q, count, cert in _table_rows(p):
+            if count == 2:
                 count2 += 1
             else:
-                count, cert = 3, solve_n3(lens)
                 count3 += 1
             if args.jsonl:
                 row = {"p": str(p), "q": str(q), "boundaries": str(count), "det": str(cert.det)}

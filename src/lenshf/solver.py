@@ -128,16 +128,24 @@ def solve_n3(lens: LensSpace) -> Certificate:
     q*r + 1 = p*s give q'*r + 1 = p*s'.  The returned certificate's det
     is exactly eps'.
     """
-    p, q = lens.p, lens.q
+    p = lens.p
     pair = bezout(lens)
-    s, r = pair.s, pair.r
     shift = find_prime_shift(lens, pair)
     qp = shift.q_prime
     eps = jacobi(p, qp)  # ±1: q' is prime to p, as q and r are
     z = sqrt_mod_prime(eps * p % qp, qp)
     if z is None:
         raise IntegrityError(f"{eps}*{p} unexpectedly a non-residue mod {qp}")
-    z_inv = mod_inv(z, qp)
+    return _n3_certificate(lens, pair, shift, eps, z, mod_inv(z, qp))
+
+
+def _n3_certificate(
+    lens: LensSpace, pair: BezoutPair, shift: PrimeShift, eps: int, z: int, z_inv: int
+) -> Certificate:
+    """solve_n3's tail: the form, the witness and the trace built from the
+    prime shift and the root z (z_inv its inverse mod q'), verified once."""
+    q, s, r = lens.q, pair.s, pair.r
+    qp = shift.q_prime
     eps_prime = -eps
     z0 = min(z_inv, qp - z_inv)  # smallest-magnitude representative of ±z'
     if shift.branch == Q_BRANCH and r != q:
@@ -156,6 +164,37 @@ def solve_n3(lens: LensSpace) -> Certificate:
         D=D, n_form=n_form, z0=z0, C0=f0.C, w=w_scale,
     )
     return _certified(lens, Witness.pair(w_scale, 0, f0.C, n_form, -z0), eps_prime, trace)
+
+
+def _n2_from_mirror(lens: LensSpace, mirror: Certificate) -> Certificate:
+    """solve_n2's certificate of L(p, q) from that of L(p, p - q), when
+    exactly one of q, p - q is a square mod p: the root a of
+    (p - q)*a^2 ≡ δ solves q*a^2 ≡ -δ, and the two root sets are equal, so
+    a is also the smallest root."""
+    p, q = lens
+    a, delta = mirror.witness.a[0], -mirror.det
+    return _certified(lens, Witness.single(a, (delta - q * a * a) // p), delta)
+
+
+def _n3_from_partner(lens: LensSpace, partner: Certificate) -> Certificate | None:
+    """solve_n3's certificate of L(p, q) from that of its Bezout partner
+    L(p, r), r = -q^{-1} mod p other than q; None when L(p, q) must search
+    alone.
+
+    The Bezout pair of L(p, q) is that of L(p, r) with r and q swapped, so
+    find_prime_shift tests the same two candidates at each k in swapped
+    order and hits at the same least k.  There L(p, q) takes the prime,
+    s', eps and root of L(p, r), unless L(p, r) hit on its q-branch and
+    q + k*p is a prime ≡ 3 (mod 4) too.
+    """
+    p, q = lens
+    r, t = partner.lens.q, partner.trace
+    if t.branch == Q_BRANCH:
+        cand = q + t.k * p
+        if cand % 4 == 3 and is_prime(cand):
+            return None
+    shift = PrimeShift(R_BRANCH if t.branch == Q_BRANCH else Q_BRANCH, t.k, t.q_prime, t.s_prime)
+    return _n3_certificate(lens, BezoutPair((1 + q * r) // p, r), shift, t.eps, t.z, t.z_inv)
 
 
 def minimal_planar_boundaries(

@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 import time
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -17,9 +17,9 @@ import lenshf.cli
 import lenshf.numtheory
 import lenshf.solver
 import lenshf.witness
-from lenshf.cli import main
+from lenshf.cli import _table_rows, main
 from lenshf.lens import LensSpace
-from lenshf.solver import minimal_planar_boundaries, solve_n2, solve_n3
+from lenshf.solver import Q_BRANCH, minimal_planar_boundaries, solve_n2, solve_n3
 from lenshf.witness import certificate_from_json, pad, verify
 
 
@@ -286,7 +286,13 @@ def test_table_runs_solve_n2_on_count_two_rows_only_and_every_traced_layer(capsy
     code, out, _ = run_cli(capsys, "table", "30")
     assert code == 0
     counts = [line.split("\t")[2] for line in out.splitlines()]
-    assert counter["solve_n2"] == counts.count("2") and counter["solve_n3"] == counts.count("3")
+    # Of the 191 count-2 rows, 71 are mirrors L(p, p - q) built from the root
+    # of L(p, q); the other 120 solve alone.  Of the 86 count-3 rows, 29 are
+    # Bezout partners built from their partner's prime shift; the other 57
+    # are 12 self-partners, 37 first rows of a pair and 8 partners whose own
+    # candidate is a prime ≡ 3 (mod 4) at the shared shift.
+    assert (counts.count("2"), counts.count("3")) == (191, 86)
+    assert (counter["solve_n2"], counter["solve_n3"]) == (120, 57)
     assert counter["verify"] == len(counts)
     assert [name for name, calls in counter.items() if calls == 0] == []
 
@@ -365,6 +371,59 @@ def test_table_rows_match_single_space_analysis(capsys):
                 count, cert = minimal_planar_boundaries(LensSpace(p, q))
                 expected.append(f"{p}\t{q}\t{count}\t{cert.det}")
     assert out.splitlines() == expected
+
+
+def _is_prime_by_trial(m: int) -> bool:
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
+def test_table_row_certificates_equal_single_space_certificates_up_to_300():
+    # the rows built from a partner row's work carry the witness, det and
+    # trace that solving them alone gives; the walk covers every case in
+    # which a row must not borrow
+    self_partners = both_squares = own_prime = 0
+    for p in range(2, 301):
+        squares = {a * a % p for a in range(1, p // 2 + 1)}
+        certs = {}
+        for q, count, cert in _table_rows(p):
+            assert (count, cert) == minimal_planar_boundaries(LensSpace(p, q)), (p, q)
+            certs[q] = cert
+        for q, cert in certs.items():
+            if cert.trace is None:
+                both_squares += q < p - q and q in squares and p - q in squares
+                continue
+            r = p - pow(q, -1, p)
+            if r == q:
+                self_partners += 1
+            elif r > q and cert.trace.branch == Q_BRANCH:
+                cand = r + cert.trace.k * p
+                if cand % 4 == 3 and _is_prime_by_trial(cand):
+                    own_prime += 1
+                    assert certs[r].trace.q_prime == cand, (p, q)
+    assert self_partners and both_squares and own_prime
+
+
+def test_table_verifies_rows_built_from_their_partner(capsys, monkeypatch):
+    # L(7,6) is the mirror of L(7,1): 1 is a square mod 7, 6 is not.  L(13,6)
+    # is the Bezout partner of L(13,2): both take the prime 19 at shift 1.
+    solved = []
+
+    def solving(fn):
+        return lambda lens, **kwargs: solved.append(lens) or fn(lens, **kwargs)
+
+    monkeypatch.setattr(lenshf.cli, "minimal_planar_boundaries", solving(minimal_planar_boundaries))
+    monkeypatch.setattr(lenshf.cli, "solve_n3", solving(solve_n3))
+    for p, q, partner in ((7, 6, 1), (13, 6, 2)):
+        def wrong_for_one_row(lens, w, bad=LensSpace(p, q)):
+            cert = verify(lens, w)
+            return cert._replace(det=cert.det + 2) if lens == bad else cert
+
+        monkeypatch.setattr(lenshf.solver, "verify", wrong_for_one_row)
+        solved.clear()
+        code, out, err = run_cli(capsys, "table", str(p))
+        assert code == 3 and out.splitlines()[-1].startswith(f"{p}\t{q - 1}\t"), (p, q)
+        assert f"integrity failure: witness for L({p},{q}) has det" in err
+        assert LensSpace(p, q) not in solved and LensSpace(p, partner) in solved
 
 
 def test_import_loads_no_numpy():
