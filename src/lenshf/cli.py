@@ -86,28 +86,31 @@ def _table_rows(p: int):
     which the partner builds and verifies its own at its turn: the mirror
     L(p, p - q) when exactly one of q, p - q is a square (when both are,
     each row takes δ = +1 with a different root), and on count 3 the Bezout
-    partner L(p, r), r = -q^{-1} mod p.
+    partner L(p, r), r = -q^{-1} mod p.  The solver runs on the square side,
+    whose δ = +1 root comes first: on L(p, p - q) ahead when only it is one.
     """
     fact = factor(p)
     squares = {a * a % p for a in range(1, p // 2 + 1)}
-    later = {}  # a later row's q -> the certificate of its partner row (trace None on count 2)
+    later = {}  # a later row's q -> its partner's certificate or its own (trace None on count 2)
     for q in range(1, p):
         if gcd(p, q) != 1:
             continue
         lens = tuple.__new__(LensSpace, (p, q))  # skips LensSpace's checks: 0 < q < p, gcd 1 above
         if q in later:
-            partner = later.pop(q)
-            if partner.trace is None:
-                yield q, 2, _n2_from_mirror(lens, partner)
-            else:
-                yield q, 3, _n3_from_partner(lens, partner) or solve_n3(lens)
+            cert = later.pop(q)
+            if cert.trace is not None:
+                yield q, 3, _n3_from_partner(lens, cert)
+            else:  # its own certificate when it was solved ahead as the square side
+                yield q, 2, cert if cert.lens.q == q else _n2_from_mirror(lens, cert)
         elif q in squares or p - q in squares:
-            count, cert = minimal_planar_boundaries(lens, fact=fact)
+            ahead = q not in squares  # then q < p - q: row p - q left a larger q its certificate
+            solved = tuple.__new__(LensSpace, (p, p - q)) if ahead else lens
+            count, cert = minimal_planar_boundaries(solved, fact=fact)
             if count != 2:
-                raise IntegrityError(f"{lens}: ±{q} is a square mod {p}, but the solver says {count}")
-            if q < p - q and (q in squares) != (p - q in squares):
+                raise IntegrityError(f"{solved}: ±{solved.q} is a square mod {p}, but the solver says {count}")
+            if ahead or (q < p - q and p - q not in squares):
                 later[p - q] = cert
-            yield q, 2, cert
+            yield q, 2, _n2_from_mirror(lens, cert) if ahead else cert
         else:
             cert = solve_n3(lens)
             # r = -q^{-1} mod p from the trace, without a modular inverse: an
@@ -125,6 +128,7 @@ def cmd_table(args) -> int:
         raise DomainError(f"pmax must be >= 2, got {args.pmax}")
     if args.jsonl:
         import json
+    write = sys.stdout.write  # one write per line
     for p in range(2, args.pmax + 1):
         count2 = count3 = 0
         for q, count, cert in _table_rows(p):
@@ -134,14 +138,15 @@ def cmd_table(args) -> int:
                 count3 += 1
             if args.jsonl:
                 row = {"p": str(p), "q": str(q), "boundaries": str(count), "det": str(cert.det)}
-                print(json.dumps(row))
+                write(json.dumps(row) + "\n")
             else:
-                print(f"{p}\t{q}\t{count}\t{cert.det}")
+                write(f"{p}\t{q}\t{count}\t{cert.det}\n")
         if args.summary:
             if args.jsonl:
-                print(json.dumps({"summary": {"p": str(p), "count2": str(count2), "count3": str(count3)}}))
+                summary = {"p": str(p), "count2": str(count2), "count3": str(count3)}
+                write(json.dumps({"summary": summary}) + "\n")
             else:
-                print(f"# p={p}\tcount2={count2}\tcount3={count3}")
+                write(f"# p={p}\tcount2={count2}\tcount3={count3}\n")
     return EXIT_OK
 
 

@@ -128,10 +128,13 @@ def solve_n3(lens: LensSpace) -> Certificate:
     q*r + 1 = p*s give q'*r + 1 = p*s'.  The returned certificate's det
     is exactly eps'.
     """
-    p = lens.p
     pair = bezout(lens)
-    shift = find_prime_shift(lens, pair)
-    qp = shift.q_prime
+    return _n3_from_shift(lens, pair, find_prime_shift(lens, pair))
+
+
+def _n3_from_shift(lens: LensSpace, pair: BezoutPair, shift: PrimeShift) -> Certificate:
+    """solve_n3 past its prime shift: the sign eps, the root z of eps*p mod q', z^{-1}."""
+    p, qp = lens.p, shift.q_prime
     eps = jacobi(p, qp)  # ±1: q' is prime to p, as q and r are
     z = sqrt_mod_prime(eps * p % qp, qp)
     if z is None:
@@ -159,9 +162,7 @@ def _n3_certificate(
         n_form = -eps_prime * qp
     f0 = construct_representing_form(n_form, D, z0)
     trace = ConstructionTrace(
-        branch=shift.branch, k=shift.k, q_prime=qp, s_prime=shift.s_prime,
-        eps=eps, z=z, z_inv=z_inv, eps_prime=eps_prime,
-        D=D, n_form=n_form, z0=z0, C0=f0.C, w=w_scale,
+        shift.branch, shift.k, qp, shift.s_prime, eps, z, z_inv, eps_prime, D, n_form, z0, f0.C, w_scale
     )
     return _certified(lens, Witness.pair(w_scale, 0, f0.C, n_form, -z0), eps_prime, trace)
 
@@ -176,25 +177,26 @@ def _n2_from_mirror(lens: LensSpace, mirror: Certificate) -> Certificate:
     return _certified(lens, Witness.single(a, (delta - q * a * a) // p), delta)
 
 
-def _n3_from_partner(lens: LensSpace, partner: Certificate) -> Certificate | None:
+def _n3_from_partner(lens: LensSpace, partner: Certificate) -> Certificate:
     """solve_n3's certificate of L(p, q) from that of its Bezout partner
-    L(p, r), r = -q^{-1} mod p other than q; None when L(p, q) must search
-    alone.
+    L(p, r), r = -q^{-1} mod p other than q.
 
     The Bezout pair of L(p, q) is that of L(p, r) with r and q swapped, so
     find_prime_shift tests the same two candidates at each k in swapped
     order and hits at the same least k.  There L(p, q) takes the prime,
     s', eps and root of L(p, r), unless L(p, r) hit on its q-branch and
-    q + k*p is a prime ≡ 3 (mod 4) too.
+    q + k*p is a prime ≡ 3 (mod 4) too: that is then L(p, q)'s own q-branch
+    hit at k, with s' = s + k*r, and only its eps and root are new.
     """
     p, q = lens
     r, t = partner.lens.q, partner.trace
+    pair = BezoutPair((1 + q * r) // p, r)
     if t.branch == Q_BRANCH:
         cand = q + t.k * p
         if cand % 4 == 3 and is_prime(cand):
-            return None
+            return _n3_from_shift(lens, pair, PrimeShift(Q_BRANCH, t.k, cand, pair.s + t.k * r))
     shift = PrimeShift(R_BRANCH if t.branch == Q_BRANCH else Q_BRANCH, t.k, t.q_prime, t.s_prime)
-    return _n3_certificate(lens, BezoutPair((1 + q * r) // p, r), shift, t.eps, t.z, t.z_inv)
+    return _n3_certificate(lens, pair, shift, t.eps, t.z, t.z_inv)
 
 
 def minimal_planar_boundaries(

@@ -241,6 +241,15 @@ def test_table_200_golden_digest(capsys):
     )
 
 
+def test_table_jsonl_summary_golden_digest(capsys):
+    # the bytes of table 100 --jsonl --summary: 3,142 lines, one write each
+    code, out, _ = run_cli(capsys, "table", "100", "--jsonl", "--summary")
+    assert code == 0 and out.count("\n") == 3142
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5e2f9b280d1bd752a7562b85ade13c83091ad3639961c0dc94a7975b90ae4048"
+    )
+
+
 def test_table_rejects_small_pmax(capsys):
     code, _, err = run_cli(capsys, "table", "1")
     assert code == 2
@@ -286,15 +295,33 @@ def test_table_runs_solve_n2_on_count_two_rows_only_and_every_traced_layer(capsy
     code, out, _ = run_cli(capsys, "table", "30")
     assert code == 0
     counts = [line.split("\t")[2] for line in out.splitlines()]
-    # Of the 191 count-2 rows, 71 are mirrors L(p, p - q) built from the root
-    # of L(p, q); the other 120 solve alone.  Of the 86 count-3 rows, 29 are
-    # Bezout partners built from their partner's prime shift; the other 57
-    # are 12 self-partners, 37 first rows of a pair and 8 partners whose own
-    # candidate is a prime ≡ 3 (mod 4) at the shared shift.
+    # Of the 191 count-2 rows, 71 are built from the root of their mirror
+    # L(p, p - q), the one of the two that is a square; the solver runs on
+    # the other 120, some ahead of their turn.  Of the 86 count-3 rows, 37 are
+    # Bezout partners built from their partner's prime shift, 8 of them at
+    # their own candidate, a prime ≡ 3 (mod 4) at the shared shift; the other
+    # 49 are 12 self-partners and 37 first rows of a pair.
     assert (counts.count("2"), counts.count("3")) == (191, 86)
-    assert (counter["solve_n2"], counter["solve_n3"]) == (120, 57)
+    assert (counter["solve_n2"], counter["solve_n3"]) == (120, 49)
     assert counter["verify"] == len(counts)
     assert [name for name, calls in counter.items() if calls == 0] == []
+
+
+def test_table_finds_every_root_it_seeks_and_shifts_only_rows_solved_alone(capsys, monkeypatch):
+    # count-2 rows run the solver on their square side, so no δ = +1 attempt
+    # fails; a count-3 row searches for a shift only when its Bezout partner
+    # r = -q^{-1} mod p is not an earlier row
+    roots, shifts = [], []
+    sqrt_mod, find_prime_shift = lenshf.solver.sqrt_mod, lenshf.solver.find_prime_shift
+    monkeypatch.setattr(lenshf.solver, "sqrt_mod", lambda *a: roots.append(sqrt_mod(*a)) or roots[-1])
+    monkeypatch.setattr(lenshf.solver, "find_prime_shift",
+                        lambda *a: shifts.append(a) or find_prime_shift(*a))
+    code, out, _ = run_cli(capsys, "table", "200")
+    assert code == 0
+    rows = [tuple(map(int, line.split("\t")[:3])) for line in out.splitlines()]
+    alone = sum(1 for p, q, count in rows if count == 3 and p - pow(q, -1, p) >= q)
+    assert roots and None not in roots
+    assert len(shifts) == alone
 
 
 def test_table_count_two_row_the_solver_denies_exit_3(capsys, monkeypatch):
@@ -404,8 +431,11 @@ def test_table_row_certificates_equal_single_space_certificates_up_to_300():
 
 
 def test_table_verifies_rows_built_from_their_partner(capsys, monkeypatch):
-    # L(7,6) is the mirror of L(7,1): 1 is a square mod 7, 6 is not.  L(13,6)
-    # is the Bezout partner of L(13,2): both take the prime 19 at shift 1.
+    # L(7,6) is the mirror of L(7,1): 1 is a square mod 7, 6 is not; L(7,3)
+    # is built from L(7,4), solved ahead, as 4 is a square and 3 is not.
+    # L(13,6) is the Bezout partner of L(13,2): both take the prime 19 at
+    # shift 1.  L(13,11) is that of L(13,7), which hit at 7 on its q-branch;
+    # 11 is a prime ≡ 3 (mod 4) too, so L(13,11) takes it at the same shift.
     solved = []
 
     def solving(fn):
@@ -413,7 +443,7 @@ def test_table_verifies_rows_built_from_their_partner(capsys, monkeypatch):
 
     monkeypatch.setattr(lenshf.cli, "minimal_planar_boundaries", solving(minimal_planar_boundaries))
     monkeypatch.setattr(lenshf.cli, "solve_n3", solving(solve_n3))
-    for p, q, partner in ((7, 6, 1), (13, 6, 2)):
+    for p, q, partner in ((7, 6, 1), (7, 3, 4), (13, 6, 2), (13, 11, 7)):
         def wrong_for_one_row(lens, w, bad=LensSpace(p, q)):
             cert = verify(lens, w)
             return cert._replace(det=cert.det + 2) if lens == bad else cert
