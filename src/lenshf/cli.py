@@ -16,7 +16,7 @@ from math import gcd
 from .errors import DomainError, IntegrityError, ResourceError
 from .lens import THREE_SPHERE, LensSpace, SpecialCase, normalize
 from .numtheory import factor
-from .solver import R_BRANCH, _n2_from_mirror, _n3_from_partner, minimal_planar_boundaries, solve_n3
+from .solver import R_BRANCH, _n2_from_root, _n3_from_partner, minimal_planar_boundaries, solve_n3
 from .witness import TRACE_FIELDS, _check_verify_budget, certificate_from_json, certificate_to_json, verify
 
 EXIT_OK = 0
@@ -74,43 +74,36 @@ def cmd_analyze(args) -> int:
 
 def _table_rows(p: int):
     """(q, count, cert) for each L(p, q) in ascending q, each certificate
-    the one minimal_planar_boundaries gives, each verified once.
+    the one minimal_planar_boundaries gives, each built and verified once,
+    at its own row.
 
     Count 2 iff q*a^2 ≡ ±1 (mod p) is solvable, i.e. iff q or p - q is a
-    unit square.  Squaring 1..p//2 lists every square; no gcd is needed, as
-    the square of a non-unit is a non-unit, never q or p - q.  Count-2 rows
-    run the solver with p factored once; count-3 rows go straight to the
-    n = 2 construction.
-
-    A row whose partner row comes later leaves it its certificate, from
-    which the partner builds and verifies its own at its turn: the mirror
-    L(p, p - q) when exactly one of q, p - q is a square (when both are,
-    each row takes δ = +1 with a different root), and on count 3 the Bezout
-    partner L(p, r), r = -q^{-1} mod p.  The solver runs on the square side,
-    whose δ = +1 root comes first: on L(p, p - q) ahead when only it is one.
+    unit square.  first maps each square of 1..p//2 to its least root; no
+    gcd is needed, as the square of a non-unit is a non-unit, never q or
+    p - q.  A row with q in first runs the solver with p factored once, and
+    its δ = +1 root comes at the first try.  A row where only p - q is in
+    first takes δ = -1 and a = first[-q^{-1} mod p]: the least root, which
+    is the one the solver finds, as the smallest root is at most p/2 (p - a
+    is one too).  Count-3 rows go straight to the n = 2 construction, and
+    one whose Bezout partner L(p, r), r = -q^{-1} mod p, comes later leaves
+    it its certificate, from which the partner builds its own at its turn.
     """
     fact = factor(p)
-    squares = {a * a % p for a in range(1, p // 2 + 1)}
-    later = {}  # a later row's q -> its partner's certificate or its own (trace None on count 2)
+    first = {a * a % p: a for a in range(p // 2, 0, -1)}
+    later = {}  # a later Bezout partner's q -> the certificate of the row it pairs with
     for q in range(1, p):
         if gcd(p, q) != 1:
             continue
         lens = tuple.__new__(LensSpace, (p, q))  # skips LensSpace's checks: 0 < q < p, gcd 1 above
         if q in later:
-            cert = later.pop(q)
-            if cert.trace is not None:
-                yield q, 3, _n3_from_partner(lens, cert)
-            else:  # its own certificate when it was solved ahead as the square side
-                yield q, 2, cert if cert.lens.q == q else _n2_from_mirror(lens, cert)
-        elif q in squares or p - q in squares:
-            ahead = q not in squares  # then q < p - q: row p - q left a larger q its certificate
-            solved = tuple.__new__(LensSpace, (p, p - q)) if ahead else lens
-            count, cert = minimal_planar_boundaries(solved, fact=fact)
+            yield q, 3, _n3_from_partner(lens, later.pop(q))
+        elif q in first:
+            count, cert = minimal_planar_boundaries(lens, fact=fact)
             if count != 2:
-                raise IntegrityError(f"{solved}: ±{solved.q} is a square mod {p}, but the solver says {count}")
-            if ahead or (q < p - q and p - q not in squares):
-                later[p - q] = cert
-            yield q, 2, _n2_from_mirror(lens, cert) if ahead else cert
+                raise IntegrityError(f"{lens}: {q} is a square mod {p}, but the solver says {count}")
+            yield q, 2, cert
+        elif p - q in first:
+            yield q, 2, _n2_from_root(lens, first[p - pow(q, -1, p)], -1)
         else:
             cert = solve_n3(lens)
             # r = -q^{-1} mod p from the trace, without a modular inverse: an

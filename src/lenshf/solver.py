@@ -69,46 +69,42 @@ def _certified(
 def solve_n2(lens: LensSpace, *, fact: Factorization | None = None) -> Certificate | None:
     """Certificate with one boundary pair (n = 1), or None when impossible.
 
-    Solves q*a^2 ≡ δ (mod p) for δ = +1 then -1, preferring the +1 branch
-    and the smallest root a; t = (δ - q*a^2)/p is exact.  The certificate's
-    det is the sign δ.  fact is the factorization of p; one of another
-    number raises DomainError.
+    Solves q*a^2 ≡ δ (mod p) for δ = +1 then -1 with sqrt_mod's smallest
+    root a; the certificate's det is the sign δ.  fact is the factorization
+    of p; one of another number raises DomainError.
 
-    Without fact, signs are ruled out before and while p is factored.  A
-    square mod p is a square mod every divisor d of p, so for odd d its
-    Jacobi symbol is +1, and a found d with jacobi(δ*q, d) = -1 rules δ out.
-    For odd p, one symbol jacobi(q, p) does this for d = p: when p ≡ 1
-    (mod 4), jacobi(-1, p) = +1 and both signs share it; when p ≡ 3
-    (mod 4) exactly one sign survives.  Then factor(p) passes the divisors
-    it has found to this check before each split, by Pollard p-1 or
-    Pollard-Brent; once no sign is left it stops and None is returned.
-    sqrt_mod runs only for the surviving signs.
+    Without fact, signs are ruled out first.  A square mod p is a square
+    mod every divisor d of p, so a sign δ with jacobi(δ*q, d) = -1 for an
+    odd d is out.  ruled_out takes one symbol j = jacobi(q, d) per odd d,
+    as jacobi(-q, d) = ±j by d mod 4: first for d = p, then for the
+    divisors factor(p) finds, before each split; once no sign is left,
+    factor stops and None is returned.
     """
     p, q = lens.p, lens.q
     signs = (1, -1)
     if fact is None:
-        if p % 2:
-            j = jacobi(q, p)
-            if p % 4 == 3:
-                signs = (j,)  # jacobi(-q, p) = -j
-            elif j == -1:
-                return None
-
         def ruled_out(divisors: list[int]) -> bool:
             nonlocal signs
-            odd = [d for d in divisors if d % 2]
-            signs = tuple(sign for sign in signs if all(jacobi(sign * q, d) == 1 for d in odd))
+            for d in divisors:
+                if d % 2 and signs:
+                    j = jacobi(q, d)  # jacobi(-1, d) = -1 iff d ≡ 3 (mod 4)
+                    signs = tuple(sign for sign in signs if (sign if d % 4 == 3 else 1) * j == 1)
             return not signs
 
-        fact = factor(p, stop=ruled_out)
-        if fact is None:
+        if ruled_out([p]) or (fact := factor(p, stop=ruled_out)) is None:
             return None
     qinv = mod_inv(q, p)
     for delta in signs:
         a = sqrt_mod(delta * qinv % p, p, fact)
         if a is not None:
-            return _certified(lens, Witness.single(a, (delta - q * a * a) // p), delta)
+            return _n2_from_root(lens, a, delta)
     return None
+
+
+def _n2_from_root(lens: LensSpace, a: int, delta: int) -> Certificate:
+    """solve_n2's certificate from a root a of q*a^2 ≡ δ (mod p): t = (δ - q*a^2)/p."""
+    p, q = lens
+    return _certified(lens, Witness.single(a, (delta - q * a * a) // p), delta)
 
 
 def solve_n3(lens: LensSpace) -> Certificate:
@@ -165,16 +161,6 @@ def _n3_certificate(
         shift.branch, shift.k, qp, shift.s_prime, eps, z, z_inv, eps_prime, D, n_form, z0, f0.C, w_scale
     )
     return _certified(lens, Witness.pair(w_scale, 0, f0.C, n_form, -z0), eps_prime, trace)
-
-
-def _n2_from_mirror(lens: LensSpace, mirror: Certificate) -> Certificate:
-    """solve_n2's certificate of L(p, q) from that of L(p, p - q), when
-    exactly one of q, p - q is a square mod p: the root a of
-    (p - q)*a^2 ≡ δ solves q*a^2 ≡ -δ, and the two root sets are equal, so
-    a is also the smallest root."""
-    p, q = lens
-    a, delta = mirror.witness.a[0], -mirror.det
-    return _certified(lens, Witness.single(a, (delta - q * a * a) // p), delta)
 
 
 def _n3_from_partner(lens: LensSpace, partner: Certificate) -> Certificate:

@@ -295,9 +295,9 @@ def test_table_runs_solve_n2_on_count_two_rows_only_and_every_traced_layer(capsy
     code, out, _ = run_cli(capsys, "table", "30")
     assert code == 0
     counts = [line.split("\t")[2] for line in out.splitlines()]
-    # Of the 191 count-2 rows, 71 are built from the root of their mirror
-    # L(p, p - q), the one of the two that is a square; the solver runs on
-    # the other 120, some ahead of their turn.  Of the 86 count-3 rows, 37 are
+    # Of the 191 count-2 rows, 71 are those where only p - q is a square,
+    # built from the least root of q*a^2 ≡ -1 in the per-p map; the solver
+    # runs on the other 120, each at its own turn.  Of the 86 count-3 rows, 37 are
     # Bezout partners built from their partner's prime shift, 8 of them at
     # their own candidate, a prime ≡ 3 (mod 4) at the shared shift; the other
     # 49 are 12 self-partners and 37 first rows of a pair.
@@ -322,6 +322,25 @@ def test_table_finds_every_root_it_seeks_and_shifts_only_rows_solved_alone(capsy
     alone = sum(1 for p, q, count in rows if count == 3 and p - pow(q, -1, p) >= q)
     assert roots and None not in roots
     assert len(shifts) == alone
+
+
+def test_table_solves_each_row_at_its_own_turn(monkeypatch):
+    # every solver call made before a row is written is on that row's space
+    solved = []
+
+    def solving(fn):
+        return lambda lens, **kwargs: solved.append(lens) or fn(lens, **kwargs)
+
+    class Rows:
+        def write(self, line):
+            p, q = map(int, line.split("\t")[:2])
+            assert set(solved) <= {LensSpace(p, q)}, (p, q, solved)
+            solved.clear()
+
+    monkeypatch.setattr(lenshf.cli, "minimal_planar_boundaries", solving(minimal_planar_boundaries))
+    monkeypatch.setattr(lenshf.cli, "solve_n3", solving(solve_n3))
+    monkeypatch.setattr(sys, "stdout", Rows())
+    assert main(["table", "60"]) == 0
 
 
 def test_table_count_two_row_the_solver_denies_exit_3(capsys, monkeypatch):
@@ -431,8 +450,8 @@ def test_table_row_certificates_equal_single_space_certificates_up_to_300():
 
 
 def test_table_verifies_rows_built_from_their_partner(capsys, monkeypatch):
-    # L(7,6) is the mirror of L(7,1): 1 is a square mod 7, 6 is not; L(7,3)
-    # is built from L(7,4), solved ahead, as 4 is a square and 3 is not.
+    # L(7,6) and L(7,3) are built from the per-p map of least roots: 1 and 4
+    # are squares mod 7, 6 and 3 are not, so neither row runs the solver.
     # L(13,6) is the Bezout partner of L(13,2): both take the prime 19 at
     # shift 1.  L(13,11) is that of L(13,7), which hit at 7 on its q-branch;
     # 11 is a prime ≡ 3 (mod 4) too, so L(13,11) takes it at the same shift.
@@ -443,7 +462,7 @@ def test_table_verifies_rows_built_from_their_partner(capsys, monkeypatch):
 
     monkeypatch.setattr(lenshf.cli, "minimal_planar_boundaries", solving(minimal_planar_boundaries))
     monkeypatch.setattr(lenshf.cli, "solve_n3", solving(solve_n3))
-    for p, q, partner in ((7, 6, 1), (7, 3, 4), (13, 6, 2), (13, 11, 7)):
+    for p, q, partner in ((7, 6, 1), (7, 3, None), (13, 6, 2), (13, 11, 7)):
         def wrong_for_one_row(lens, w, bad=LensSpace(p, q)):
             cert = verify(lens, w)
             return cert._replace(det=cert.det + 2) if lens == bad else cert
@@ -453,7 +472,8 @@ def test_table_verifies_rows_built_from_their_partner(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "table", str(p))
         assert code == 3 and out.splitlines()[-1].startswith(f"{p}\t{q - 1}\t"), (p, q)
         assert f"integrity failure: witness for L({p},{q}) has det" in err
-        assert LensSpace(p, q) not in solved and LensSpace(p, partner) in solved
+        assert LensSpace(p, q) not in solved
+        assert partner is None or LensSpace(p, partner) in solved
 
 
 def test_import_loads_no_numpy():

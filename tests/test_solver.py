@@ -481,3 +481,13 @@ def test_solve_n2_stops_factoring_once_both_signs_are_ruled_out(monkeypatch):
     cert = solve_n2(LensSpace(p, 13))
     assert calls[0] == 2
     assert cert is not None and cert == solve_n2(LensSpace(p, 13), fact=fact)
+
+
+def test_solve_n2_takes_one_jacobi_symbol_per_odd_divisor_while_a_sign_is_left(monkeypatch):
+    # d = p first, then each divisor factor(p) finds; (-q|d) = ±(q|d) by d mod 4
+    calls = _count_calls(monkeypatch, "jacobi")
+    p = 10009 * 10037 * 10061
+    for n, q, symbols in ((p, 2, 3), (p, 13, 4), (5 * 13 * 10009 * 10169, 2, 2)):
+        calls[0] = 0
+        solve_n2(LensSpace(n, q))
+        assert calls[0] == symbols, (n, q)
