@@ -1,6 +1,7 @@
 """Exact integer kernel: modular inverses, Jacobi symbols, primality,
-modular square roots and factoring (trial gcd, then Pollard p-1 before
-Pollard-Brent on each composite piece, under one effort budget).
+modular square roots and factoring (trial gcd, then Pollard p-1, Williams
+p+1 and Pollard-Brent in turn on each composite piece, under one effort
+budget; p-1 and p+1 share one Lucas-sequence stage 2).
 
 Everything operates on plain Python integers (arbitrary precision) and no
 floating point is used anywhere.  All functions are pure and safe to call
@@ -58,13 +59,15 @@ def _prime_power_product(bound: int) -> int:
     return e
 
 
-# Pollard p-1 finds a prime P when P - 1 divides lcm(1..1000), the 1,438-bit
-# stage-1 exponent, times at most one prime between 1000 and TRIAL_BOUND
-# (stage 2, which steps between those primes by their gaps).  Stage-1 bounds
-# of 600-2000 measured alike on analyze-composite, 300 worse.
+# Pollard p-1 and Williams p+1 share the 1,438-bit stage-1 exponent
+# E = lcm(1..1000) (bounds of 600-2000 measured alike for p-1, 300 worse) and
+# one stage 2 (_lucas_stage2), which reaches each prime in (1000, TRIAL_BOUND)
+# as k*D ± j with D = 210, j < D/2 prime to D and k from 5 (5*D - 103 = 947)
+# to 47 (47*D + 103 = 9973); it costs a unit per product term and per k.
 _PM1_EXPONENT = _prime_power_product(1000)
-_PM1_STAGE2 = _TRIAL_PRIMES[bisect_right(_TRIAL_PRIMES, 1000):]
-_PM1_GAPS = tuple(b - a for a, b in zip(_PM1_STAGE2, _PM1_STAGE2[1:]))
+_STAGE2_D = 210
+_STAGE2_J = tuple(j for j in range(1, _STAGE2_D // 2, 2) if gcd(j, _STAGE2_D) == 1)
+_STAGE2_K = range(5, 48)
 
 
 def mod_inv(a: int, m: int) -> int:
@@ -110,6 +113,18 @@ def _mr_witness(n: int, d: int, s: int, base: int) -> bool:
     return True
 
 
+def _lucas_v(a: int, k: int, n: int) -> tuple[int, int]:
+    """(V_k, V_(k+1)) mod n, k >= 1, for V_i = x**i + x**-i and a = x + 1/x
+    reduced mod n, by the ladder V_2i = V_i**2 - 2, V_(2i+1) = V_i*V_(i+1) - a."""
+    v, w = a, (a * a - 2) % n  # (V_i, V_(i+1)) from i = 1
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            v, w = (v * w - a) % n, (w * w - 2) % n
+        else:
+            v, w = (v * v - 2) % n, (v * w - a) % n
+    return v, w
+
+
 def _strong_lucas_prp(m: int) -> bool:
     """Strong Lucas probable-prime test of odd m > 1, Selfridge's parameters.
 
@@ -137,12 +152,7 @@ def _strong_lucas_prp(m: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    v, w = p, (p * p - 2) % m  # (V'_k, V'_(k+1)) from k = 1, over the bits of d
-    for bit in bin(d)[3:]:
-        if bit == "1":
-            v, w = (v * w - p) % m, (w * w - 2) % m
-        else:
-            v, w = (v * v - 2) % m, (v * w - p) % m
+    v, w = _lucas_v(p, d, m)  # (V'_d, V'_(d+1))
     if (2 * w - p * v) % m == 0 and v in (2, m - 2):
         return True
     for _ in range(s - 1):
@@ -276,26 +286,60 @@ def _charge(budget: list[int], units: int, stage: str, n: int) -> None:
     budget[0] -= units
 
 
+def _lucas_stage2(w: int, n: int, budget: list[int], stage: str) -> int:
+    """gcd(n, product of V_kD - V_j over k in _STAGE2_K, j in _STAGE2_J).
+
+    With w = x + 1/x and V_i = x**i + x**-i, V_kD - V_j =
+    x**-kD * (x**kD - x**j) * (x**kD - x**-j), so a prime P of n divides
+    the product when the order of x mod P divides k*D - j or k*D + j.
+    """
+    _charge(budget, len(_STAGE2_K) * (len(_STAGE2_J) + 1), stage, n)
+    w2 = (w * w - 2) % n
+    baby = []
+    prev = cur = w  # V_-1 = V_1, then V_(j+2) = V_j*V_2 - V_(j-2)
+    for j in range(1, _STAGE2_D // 2, 2):
+        if j in _STAGE2_J:
+            baby.append(cur)
+        prev, cur = cur, (cur * w2 - prev) % n
+    vd = _lucas_v(w, _STAGE2_D, n)[0]
+    g, h = _lucas_v(vd, _STAGE2_K[0], n)  # V_kD, V_(k+1)D: V_k(V_D) = V_kD
+    acc = 1
+    for _ in _STAGE2_K:
+        for b in baby:
+            acc = acc * (g - b) % n
+        g, h = h, (h * vd - g) % n
+    return gcd(acc, n)
+
+
 def _pollard_pm1(n: int, budget: list[int]) -> int:
     """A divisor of odd n by Pollard p-1: 1 or n when it splits nothing.
 
     Stage 1 takes gcd(x - 1, n), x = 2**E mod n; when that is 1, stage 2
-    takes the gcd of n and the product of x**l - 1 over the stage-2 primes.
-    Each stage is charged to budget before it runs.
+    runs on x + 1/x, so it finds P when P - 1 divides E times one prime
+    between 1000 and TRIAL_BOUND.  Each stage is charged before it runs.
     """
     _charge(budget, _PM1_EXPONENT.bit_length(), "Pollard p-1 stage 1", n)
     x = pow(2, _PM1_EXPONENT, n)
     g = gcd(x - 1, n)
     if g != 1:
         return g
-    _charge(budget, 2 * len(_PM1_STAGE2), "Pollard p-1 stage 2", n)
-    steps = {gap: pow(x, gap, n) for gap in set(_PM1_GAPS)}
-    y = pow(x, _PM1_STAGE2[0], n)
-    acc = y - 1
-    for gap in _PM1_GAPS:
-        y = y * steps[gap] % n
-        acc = acc * (y - 1) % n
-    return gcd(acc, n)
+    return _lucas_stage2((x + pow(x, -1, n)) % n, n, budget, "Pollard p-1 stage 2")
+
+
+def _williams_pp1(n: int, budget: list[int]) -> int:
+    """A divisor of odd n by Williams p+1: 1 or n when it splits nothing.
+
+    Stage 1 takes gcd(V_E(3) - 2, n), V_i(3) = x**i + x**-i for a root x
+    of x*x - 3x + 1 (discriminant 5); x mod a prime P with (5|P) = -1 has
+    an order dividing P + 1 (else P - 1).  Stage 2 runs on V_E(3).  Stage 1
+    takes two products per bit of E, so it is charged two units per bit.
+    """
+    _charge(budget, 2 * _PM1_EXPONENT.bit_length(), "Williams p+1 stage 1", n)
+    v = _lucas_v(3, _PM1_EXPONENT, n)[0]
+    g = gcd(v - 2, n)
+    if g != 1:
+        return g
+    return _lucas_stage2(v, n, budget, "Williams p+1 stage 2")
 
 
 def _pollard_brent(n: int, budget: list[int]) -> int:
@@ -339,14 +383,17 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
 
     One gcd with the product of the primes below TRIAL_BOUND names the
     small primes, which are divided out.  Each composite piece left is
-    split by Pollard p-1 (_pollard_pm1), which finds the primes P with
-    smooth P - 1, and by Pollard rho (Brent) when p-1 splits nothing.
-    Every piece is tested once, by is_prime(piece), and the result is
-    built without testing it again.  Both methods draw on one budget of
-    FACTOR_EFFORT units: a Pollard-Brent iteration costs one unit, p-1
-    stage 1 one per bit of its exponent (1,438) and stage 2 two per prime
-    it tries (2,122 in all).  A method that would overdraw it raises
-    ResourceError, naming the method and the effort spent.
+    split by the first of three methods that splits it: Pollard p-1
+    (_pollard_pm1), which finds the primes P with smooth P - 1; Williams
+    p+1 (_williams_pp1) from the seed 3, which finds the P with (5|P) = -1
+    and smooth P + 1; and Pollard rho (Brent).  Both p-1 and p+1 take
+    stage 1 to E = lcm(1..1000) and one shared stage 2 to the primes below
+    TRIAL_BOUND.  Every piece is tested once, by is_prime(piece), and the
+    result is built without testing it again.  All methods draw on one
+    budget of FACTOR_EFFORT units: p-1 stage 1 costs one per bit of E
+    (1,438), p+1 stage 1 two per bit (2,876), each stage 2 1,075 and each
+    Pollard-Brent iteration one.  A stage that would overdraw it raises
+    ResourceError, naming the stage and the effort spent.
 
     stop, when given, is called just before each split, so never for a
     prime m or one with no prime factor above TRIAL_BOUND.  It gets the
@@ -381,9 +428,10 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
             if stop(found):
                 return None
             found = []
-        g = _pollard_pm1(n, budget)
-        if g == 1 or g == n:
-            g = _pollard_brent(n, budget)
+        for split in (_pollard_pm1, _williams_pp1, _pollard_brent):
+            g = split(n, budget)
+            if 1 < g < n:
+                break
         stack.append(g)
         stack.append(n // g)
     # tuple.__new__ skips Factorization's checks: each prime was tested above

@@ -126,6 +126,17 @@ def test_analyze_count_three_of_an_unfactorable_p_by_a_found_divisor(capsys):
     assert code == 0 and "3 boundary components" in out
 
 
+def test_analyze_p_split_by_williams_p_plus_1(capsys):
+    # p = P1*P2 of 59 and 61 bits; P1 + 1 = 2*13*163*331*547*809*941*997 is
+    # smooth and (5|P1) = -1, so p+1 splits p in milliseconds, where
+    # Pollard-Brent exhausts numtheory.FACTOR_EFFORT (exit 3 after about 2 s)
+    p = 582384188893186237 * 2280771146087475637
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", str(p), "500945596517612812943455832667575940")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "2 boundary components" in out
+
+
 def test_analyze_unfactorable_p_with_a_plus_one_symbol_exit_3(capsys, monkeypatch):
     # p ≡ 3 (mod 4), so (-1|p) = -1 and one of (±2|p) is +1: p must be factored,
     # and p itself is the only divisor found before the split that fails

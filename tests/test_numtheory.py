@@ -7,6 +7,7 @@ moduli, on seeded samples further out.
 from __future__ import annotations
 
 import random
+import re
 import time
 import tracemalloc
 from math import gcd, lcm, prod
@@ -538,37 +539,39 @@ def test_factor_effort_cap(monkeypatch):
 
 
 def test_factor_effort_error_names_the_stage_and_the_effort_spent(monkeypatch):
-    # neither prime P of m has smooth P - 1, so p-1 (1,438 + 2,122 units)
-    # splits nothing and Pollard-Brent runs out, its first rounds cost
-    # 2 + 4 + ... + 1024 units
+    # neither prime P of m has a smooth P - 1 or P + 1, so p-1 (1,438 + 1,075
+    # units) and p+1 (2,876 + 1,075) split nothing and Pollard-Brent runs
+    # out, its first rounds cost 2 + 4 + ... + 1024 units
     m = (10**24 + 7) * (10**24 + 49)
-    monkeypatch.setattr(numtheory, "FACTOR_EFFORT", 1000)
-    with pytest.raises(ResourceError, match=(
-        f"^factoring effort cap exhausted in Pollard p-1 stage 1 on {m}: "
-        "0 of FACTOR_EFFORT = 1000 units spent, 1438 more needed$"
-    )):
-        factor(m)
-    monkeypatch.setattr(numtheory, "FACTOR_EFFORT", 3000)
-    with pytest.raises(ResourceError, match=(
-        f"^factoring effort cap exhausted in Pollard p-1 stage 2 on {m}: "
-        "1438 of FACTOR_EFFORT = 3000 units spent, 2122 more needed$"
-    )):
-        factor(m)
-    monkeypatch.setattr(numtheory, "FACTOR_EFFORT", 6000)
-    with pytest.raises(ResourceError, match=(
-        f"^factoring effort cap exhausted in Pollard-Brent on {m}: "
-        "5606 of FACTOR_EFFORT = 6000 units spent, 2048 more needed$"
-    )):
-        factor(m)
+    for cap, stage, spent, needed in (
+        (1000, "Pollard p-1 stage 1", 0, 1438),
+        (2000, "Pollard p-1 stage 2", 1438, 1075),
+        (4000, "Williams p+1 stage 1", 2513, 2876),
+        (6000, "Williams p+1 stage 2", 5389, 1075),
+        (9000, "Pollard-Brent", 8510, 2048),
+    ):
+        monkeypatch.setattr(numtheory, "FACTOR_EFFORT", cap)
+        with pytest.raises(ResourceError, match=(
+            f"^factoring effort cap exhausted in {re.escape(stage)} on {m}: "
+            f"{spent} of FACTOR_EFFORT = {cap} units spent, {needed} more needed$"
+        )):
+            factor(m)
 
 
-# --- Pollard p-1 ---------------------------------------------------------------
+# --- Pollard p-1 and Williams p+1 ----------------------------------------------
 
 def test_pm1_stage_1_exponent_is_lcm_1_to_1000():
     assert numtheory._PM1_EXPONENT == lcm(*range(1, 1001))
     assert numtheory._PM1_EXPONENT.bit_length() == 1438
-    assert numtheory._PM1_STAGE2 == tuple(p for p in _primes_below(10_000) if p > 1000)
-    assert len(numtheory._PM1_STAGE2) == 1061
+
+
+def test_stage_2_visits_every_prime_between_1000_and_trial_bound():
+    D, J, K = numtheory._STAGE2_D, numtheory._STAGE2_J, numtheory._STAGE2_K
+    assert (D, len(J), K) == (210, 24, range(5, 48))
+    visited = {k * D + s * j for k in K for j in J for s in (1, -1)}
+    stage2 = [p for p in _primes_below(10_000) if p > 1000]
+    assert len(stage2) == 1061
+    assert visited.issuperset(stage2)
 
 
 def _start_of_bits(lo, hi):
@@ -602,6 +605,26 @@ def test_factor_splits_with_pm1_before_pollard_brent(monkeypatch, m, expected, b
     calls = _count_calls(monkeypatch, "_pollard_brent")
     assert factor(m).factors == expected
     assert calls[0] == brent_calls
+
+
+@pytest.mark.parametrize("m, brent_calls, stage2_calls", [
+    # P + 1 = 2*13*163*331*547*809*941*997 divides the stage-1 exponent and
+    # (5|P) = -1, while P - 1 = 2^2*3*563*86202514637831: p+1 stage 1 splits
+    (582384188893186237 * 2280771146087475637, 0, 1),
+    # P + 1 = 2^2*3*7^2*11*13*17*19*23*9973, (5|P) = -1 and P - 1 =
+    # 2*151*82759*249257: only p+1 stage 2 tries 9973, the last prime it visits
+    (6229734539027 * (10**24 + 7), 0, 2),
+    # P ≡ ±1 (mod 5), so (5|P) = +1 for both primes and p+1 works in the
+    # group of P - 1, which has the primes 12497 and 442963: Pollard-Brent splits
+    (268435561 * 268435579, 1, 2),
+])
+def test_factor_splits_with_pp1_before_pollard_brent(monkeypatch, m, brent_calls, stage2_calls):
+    sympy = pytest.importorskip("sympy")
+    brent = _count_calls(monkeypatch, "_pollard_brent")
+    pp1 = _count_calls(monkeypatch, "_williams_pp1")
+    stage2 = _count_calls(monkeypatch, "_lucas_stage2")
+    assert dict(factor(m).factors) == sympy.factorint(m)
+    assert (pp1[0], stage2[0], brent[0]) == (1, stage2_calls, brent_calls)
 
 
 # --- factor's stop callback ---------------------------------------------------
