@@ -382,18 +382,19 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
     """Full prime factorization of m >= 1, or None when stop asks for it.
 
     One gcd with the product of the primes below TRIAL_BOUND names the
-    small primes, which are divided out.  Each composite piece left is
-    split by the first of three methods that splits it: Pollard p-1
-    (_pollard_pm1), which finds the primes P with smooth P - 1; Williams
-    p+1 (_williams_pp1) from the seed 3, which finds the P with (5|P) = -1
-    and smooth P + 1; and Pollard rho (Brent).  Both p-1 and p+1 take
-    stage 1 to E = lcm(1..1000) and one shared stage 2 to the primes below
-    TRIAL_BOUND.  Every piece is tested once, by is_prime(piece), and the
-    result is built without testing it again.  All methods draw on one
-    budget of FACTOR_EFFORT units: p-1 stage 1 costs one per bit of E
-    (1,438), p+1 stage 1 two per bit (2,876), each stage 2 1,075 and each
-    Pollard-Brent iteration one.  A stage that would overdraw it raises
-    ResourceError, naming the stage and the effort spent.
+    small primes, which are divided out.  A composite piece left that is a
+    square r*r splits into r and r by isqrt; any other, by the first of three
+    methods that splits it: Pollard p-1 (_pollard_pm1), which finds the
+    primes P with smooth P - 1; Williams p+1 (_williams_pp1) from the seed
+    3, which finds the P with (5|P) = -1 and smooth P + 1; and Pollard rho
+    (Brent).  Both p-1 and p+1 take stage 1 to E = lcm(1..1000) and one
+    shared stage 2 to the primes below TRIAL_BOUND.  Every piece is tested
+    once, by is_prime(piece), and the result is built without testing it
+    again.  All methods draw on one budget of FACTOR_EFFORT units: p-1
+    stage 1 costs one per bit of E (1,438), p+1 stage 1 two per bit
+    (2,876), each stage 2 1,075 and each Pollard-Brent iteration one.  A
+    stage that would overdraw it raises ResourceError, naming the stage and
+    the effort spent.
 
     stop, when given, is called just before each split, so never for a
     prime m or one with no prime factor above TRIAL_BOUND.  It gets the
@@ -428,10 +429,12 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
             if stop(found):
                 return None
             found = []
-        for split in (_pollard_pm1, _williams_pp1, _pollard_brent):
-            g = split(n, budget)
-            if 1 < g < n:
-                break
+        g = isqrt(n)
+        if g * g != n:
+            for split in (_pollard_pm1, _williams_pp1, _pollard_brent):
+                g = split(n, budget)
+                if 1 < g < n:
+                    break
         stack.append(g)
         stack.append(n // g)
     # tuple.__new__ skips Factorization's checks: each prime was tested above

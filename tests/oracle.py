@@ -11,12 +11,12 @@ hit is re-checked against the full determinant before it is returned.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
-from .errors import DomainError, IntegrityError
-from .lens import LensSpace
-from .quadform import QuadForm
-from .witness import Witness
+from lenshf.errors import DomainError, IntegrityError
+from lenshf.lens import LensSpace
+from lenshf.quadform import QuadForm
+from lenshf.witness import Witness
 
 
 def brute_qr(a: int, m: int) -> bool:
@@ -25,6 +25,24 @@ def brute_qr(a: int, m: int) -> bool:
         raise DomainError(f"modulus must be positive, got {m}")
     a %= m
     return any(x * x % m == a for x in range(m))
+
+
+def brute_least_roots(m: int) -> dict[int, int]:
+    """Each square mod m, mapped to its least root in [0, m)."""
+    least = {}
+    for x in range(m):
+        least.setdefault(x * x % m, x)
+    return least
+
+
+def brute_is_prime(m: int) -> bool:
+    """Is m prime?  Checked by trial division by every d in [2, isqrt(m)]."""
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
+def brute_primes_below(n: int) -> list[int]:
+    """The primes in [0, n), ascending, each checked by brute_is_prime."""
+    return [m for m in range(n) if brute_is_prime(m)]
 
 
 def brute_n2(lens: LensSpace) -> tuple[int, int] | None:

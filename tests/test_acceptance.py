@@ -14,10 +14,10 @@ import numpy as np
 
 from lenshf.cli import main
 from lenshf.lens import LensSpace, same_homeomorphism_class
-from lenshf.oracle import brute_form_represents, brute_n3, brute_qr
 from lenshf.quadform import construct_representing_form, solvable_congruence
 from lenshf.solver import minimal_planar_boundaries, solve_n2, solve_n3
 from lenshf.witness import Witness, pad, verify
+from oracle import brute_form_represents, brute_is_prime, brute_n3, brute_qr
 
 
 def _coprime_pairs(pmax):
@@ -110,12 +110,9 @@ def test_criterion_04_worked_instance_L52():
 
 
 def test_criterion_05_prime_residue_class_counts():
-    def is_prime_small(n):
-        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
-
     bad = []
     for p in range(3, 201):
-        if not is_prime_small(p):
+        if not brute_is_prime(p):
             continue
         twos = sum(
             1 for q in range(1, p) if minimal_planar_boundaries(LensSpace(p, q))[0] == 2

@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 import time
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 
@@ -21,6 +21,7 @@ from lenshf.cli import _table_rows, main
 from lenshf.lens import LensSpace
 from lenshf.solver import Q_BRANCH, minimal_planar_boundaries, solve_n2, solve_n3
 from lenshf.witness import certificate_from_json, pad, verify
+from oracle import brute_is_prime, brute_least_roots, brute_qr
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +138,16 @@ def test_analyze_p_split_by_williams_p_plus_1(capsys):
     assert code == 0 and "2 boundary components" in out
 
 
+def test_analyze_p_that_is_the_square_of_a_44_bit_prime(capsys):
+    # p = P² with P = 17104490322097 and (5|p) = 1, so p must be factored;
+    # factor splits a square by isqrt, where Pollard-Brent exhausts
+    # numtheory.FACTOR_EFFORT (exit 3 after about 2 s)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", "292563589178709934806477409", "5")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "3 boundary components" in out and "determinant: -1" in out
+
+
 def test_analyze_unfactorable_p_with_a_plus_one_symbol_exit_3(capsys, monkeypatch):
     # p ≡ 3 (mod 4), so (-1|p) = -1 and one of (±2|p) is +1: p must be factored,
     # and p itself is the only divisor found before the split that fails
@@ -214,9 +225,8 @@ def test_table_400_summary_matches_the_closed_form_census(capsys):
         roots_of_one = 1
         for prime, exp in sympy.factorint(p).items():
             roots_of_one *= 2 if prime > 2 else min(1 << (exp - 1), 4)
-        minus_one_is_square = any(x * x % p == p - 1 for x in range(p))
         assert count2 + count3 == phi, p
-        assert count2 == phi // roots_of_one * (1 if minus_one_is_square else 2), p
+        assert count2 == phi // roots_of_one * (1 if brute_qr(-1, p) else 2), p
     # the rows as well as the counts, at no extra run
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "dc46386f40848d819e2f9c87465ead837f265d8c165adcfcf5a17b98a231e17d"
@@ -227,7 +237,7 @@ def test_table_square_criterion_agrees_with_solve_n2_per_q():
     # solve_n2 without fact decides by Jacobi symbols and a factor() that may
     # stop early, independently of the unit squares the table lists per p
     for p in range(2, 301):
-        squares = {a * a % p for a in range(1, p // 2 + 1)}
+        squares = brute_least_roots(p).keys()
         for q in range(1, p):
             if gcd(p, q) == 1:
                 listed = q in squares or p - q in squares
@@ -266,21 +276,11 @@ def test_table_rejects_small_pmax(capsys):
     assert code == 2
 
 
-def _counting(monkeypatch, module, name, counter):
-    original = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        counter[name] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-
-
-def test_table_factors_each_p_once_and_verifies_each_row_once(capsys, monkeypatch):
+def test_table_factors_each_p_once_and_verifies_each_row_once(capsys, count_calls):
     counter = {"factor": 0, "verify": 0}
     for module in (lenshf.cli, lenshf.solver):
-        _counting(monkeypatch, module, "factor", counter)
-        _counting(monkeypatch, module, "verify", counter)
+        count_calls(module, "factor", counter)
+        count_calls(module, "verify", counter)
     code, out, _ = run_cli(capsys, "table", "30")
     assert code == 0
     rows = out.strip().splitlines()
@@ -295,14 +295,14 @@ _SWEEP_LAYERS = (
 )
 
 
-def test_table_runs_solve_n2_on_count_two_rows_only_and_every_traced_layer(capsys, monkeypatch):
+def test_table_runs_solve_n2_on_count_two_rows_only_and_every_traced_layer(capsys, count_calls):
     modules = (lenshf.cli, lenshf.solver, lenshf.numtheory, lenshf.lens, lenshf.quadform, lenshf.witness)
     counter = dict.fromkeys(_SWEEP_LAYERS, 0)
     for name in _SWEEP_LAYERS:  # wrap each module's binding, so every call counts once
         original = next(vars(m)[name] for m in modules if name in vars(m))
         for module in modules:
             if vars(module).get(name) is original:
-                _counting(monkeypatch, module, name, counter)
+                count_calls(module, name, counter)
     code, out, _ = run_cli(capsys, "table", "30")
     assert code == 0
     counts = [line.split("\t")[2] for line in out.splitlines()]
@@ -335,12 +335,19 @@ def test_table_finds_every_root_it_seeks_and_shifts_only_rows_solved_alone(capsy
     assert len(shifts) == alone
 
 
+def _record_solved(monkeypatch):
+    """The list of spaces that table hands to either solver, filled as it runs."""
+    solved = []
+    for name in ("minimal_planar_boundaries", "solve_n3"):
+        fn = getattr(lenshf.cli, name)
+        monkeypatch.setattr(lenshf.cli, name,
+                            lambda lens, fn=fn, **kwargs: solved.append(lens) or fn(lens, **kwargs))
+    return solved
+
+
 def test_table_solves_each_row_at_its_own_turn(monkeypatch):
     # every solver call made before a row is written is on that row's space
-    solved = []
-
-    def solving(fn):
-        return lambda lens, **kwargs: solved.append(lens) or fn(lens, **kwargs)
+    solved = _record_solved(monkeypatch)
 
     class Rows:
         def write(self, line):
@@ -348,8 +355,6 @@ def test_table_solves_each_row_at_its_own_turn(monkeypatch):
             assert set(solved) <= {LensSpace(p, q)}, (p, q, solved)
             solved.clear()
 
-    monkeypatch.setattr(lenshf.cli, "minimal_planar_boundaries", solving(minimal_planar_boundaries))
-    monkeypatch.setattr(lenshf.cli, "solve_n3", solving(solve_n3))
     monkeypatch.setattr(sys, "stdout", Rows())
     assert main(["table", "60"]) == 0
 
@@ -363,10 +368,10 @@ def test_table_count_two_row_the_solver_denies_exit_3(capsys, monkeypatch):
     assert "integrity failure: L(2,1)" in err
 
 
-def test_each_answer_and_each_verify_evaluates_one_determinant(monkeypatch):
+def test_each_answer_and_each_verify_evaluates_one_determinant(count_calls):
     # the traced benchmark requires witness.det_exact calls on every workload
     counter = {"det_exact": 0}
-    _counting(monkeypatch, lenshf.witness, "det_exact", counter)
+    count_calls(lenshf.witness, "det_exact", counter)
     for p, q, count in ((5, 4, 2), (5, 2, 3)):
         counter["det_exact"] = 0
         assert minimal_planar_boundaries(LensSpace(p, q))[0] == count
@@ -378,11 +383,11 @@ def test_each_answer_and_each_verify_evaluates_one_determinant(monkeypatch):
     assert counter == {"det_exact": 1}
 
 
-def test_removed_search_flags_exit_64_before_any_work(capsys, monkeypatch):
+def test_removed_search_flags_exit_64_before_any_work(capsys, count_calls):
     # the prime-search cap is a module constant, and primality takes no round count
     counter = {"factor": 0, "minimal_planar_boundaries": 0}
-    _counting(monkeypatch, lenshf.cli, "factor", counter)
-    _counting(monkeypatch, lenshf.cli, "minimal_planar_boundaries", counter)
+    count_calls(lenshf.cli, "factor", counter)
+    count_calls(lenshf.cli, "minimal_planar_boundaries", counter)
     for argv in (("analyze", "7", "3", "--cap", "5"), ("analyze", "7", "3", "--mr-rounds", "5"),
                  ("table", "10", "--cap", "5")):
         code, out, err = run_cli(capsys, *argv)
@@ -430,17 +435,13 @@ def test_table_rows_match_single_space_analysis(capsys):
     assert out.splitlines() == expected
 
 
-def _is_prime_by_trial(m: int) -> bool:
-    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
-
-
 def test_table_row_certificates_equal_single_space_certificates_up_to_300():
     # the rows built from a partner row's work carry the witness, det and
     # trace that solving them alone gives; the walk covers every case in
     # which a row must not borrow
     self_partners = both_squares = own_prime = 0
     for p in range(2, 301):
-        squares = {a * a % p for a in range(1, p // 2 + 1)}
+        squares = brute_least_roots(p).keys()
         certs = {}
         for q, count, cert in _table_rows(p):
             assert (count, cert) == minimal_planar_boundaries(LensSpace(p, q)), (p, q)
@@ -454,7 +455,7 @@ def test_table_row_certificates_equal_single_space_certificates_up_to_300():
                 self_partners += 1
             elif r > q and cert.trace.branch == Q_BRANCH:
                 cand = r + cert.trace.k * p
-                if cand % 4 == 3 and _is_prime_by_trial(cand):
+                if cand % 4 == 3 and brute_is_prime(cand):
                     own_prime += 1
                     assert certs[r].trace.q_prime == cand, (p, q)
     assert self_partners and both_squares and own_prime
@@ -466,13 +467,7 @@ def test_table_verifies_rows_built_from_their_partner(capsys, monkeypatch):
     # L(13,6) is the Bezout partner of L(13,2): both take the prime 19 at
     # shift 1.  L(13,11) is that of L(13,7), which hit at 7 on its q-branch;
     # 11 is a prime ≡ 3 (mod 4) too, so L(13,11) takes it at the same shift.
-    solved = []
-
-    def solving(fn):
-        return lambda lens, **kwargs: solved.append(lens) or fn(lens, **kwargs)
-
-    monkeypatch.setattr(lenshf.cli, "minimal_planar_boundaries", solving(minimal_planar_boundaries))
-    monkeypatch.setattr(lenshf.cli, "solve_n3", solving(solve_n3))
+    solved = _record_solved(monkeypatch)
     for p, q, partner in ((7, 6, 1), (7, 3, None), (13, 6, 2), (13, 11, 7)):
         def wrong_for_one_row(lens, w, bad=LensSpace(p, q)):
             cert = verify(lens, w)
@@ -489,19 +484,18 @@ def test_table_verifies_rows_built_from_their_partner(capsys, monkeypatch):
 
 def test_import_loads_no_numpy():
     # the package has no runtime dependency; numpy serves the test suite alone
-    src = os.path.dirname(os.path.dirname(lenshf.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _src_env()
     code = (
-        "import sys, lenshf, lenshf.cli, lenshf.oracle; "
+        "import sys, lenshf, lenshf.cli; "
         "assert 'numpy' not in sys.modules, 'numpy imported'"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
     # the records are named tuples, so the CLI's cold start skips dataclasses
-    # and the inspect/ast/dis it imports; the CLI never loads oracle, and
-    # loads json only with the options and functions that serialize
+    # and the inspect/ast/dis it imports, and loads json only with the
+    # options and functions that serialize
     code = (
         "import sys; before = set(sys.modules); import lenshf.cli; "
-        "gained = {'dataclasses', 'inspect', 'json', 'lenshf.oracle'} & (set(sys.modules) - before); "
+        "gained = {'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before); "
         "assert not gained, f'import lenshf.cli loaded {sorted(gained)}'"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -69,6 +69,13 @@ def test_public_surface_is_exactly_the_solver_kernel():
         assert param.kind is inspect.Parameter.KEYWORD_ONLY and param.default is None, name
 
 
+def test_the_package_ships_only_what_the_library_and_the_cli_run():
+    # the brute-force oracles are test code and live in tests/oracle.py
+    assert sorted(info.name for info in pkgutil.iter_modules(lenshf.__path__)) == [
+        "__main__", "cli", "errors", "lens", "numtheory", "quadform", "solver", "witness",
+    ]
+
+
 def _annotated_callables(module):
     """Each function and each method of each class defined in module."""
     for obj in vars(module).values():

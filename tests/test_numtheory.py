@@ -27,26 +27,7 @@ from lenshf.numtheory import (
     sqrt_mod,
     sqrt_mod_prime,
 )
-
-
-def _primes_below(n):
-    sieve = [True] * n
-    sieve[0:2] = [False, False]
-    for i in range(2, int(n ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i:: i] = [False] * len(sieve[i * i:: i])
-    return [i for i, f in enumerate(sieve) if f]
-
-
-def _squares_mod(m):
-    return {x * x % m for x in range(m)}
-
-
-def _least_roots_mod(m):
-    least = {}
-    for x in range(m):
-        least.setdefault(x * x % m, x)
-    return least
+from oracle import brute_least_roots, brute_primes_below
 
 
 # --- mod_inv ----------------------------------------------------------------
@@ -111,10 +92,10 @@ def test_jacobi_zero_iff_common_factor():
 
 
 def test_jacobi_matches_residue_classes_for_primes_below_500():
-    for p in _primes_below(500):
+    for p in brute_primes_below(500):
         if p == 2:
             continue
-        squares = _squares_mod(p)
+        squares = brute_least_roots(p).keys()
         for a in range(1, p):
             expected = 1 if a in squares else -1
             assert jacobi(a, p) == expected, (a, p)
@@ -142,7 +123,7 @@ def test_is_prime_small_values():
 def test_is_prime_agrees_with_sieve_below_20000():
     # spans TRIAL_BOUND = 10^4: the sieve answers below it, the trial gcds
     # (with no Miller-Rabin round) above it
-    primes = set(_primes_below(20000))
+    primes = set(brute_primes_below(20000))
     for m in range(20000):
         assert is_prime(m) == (m in primes), m
     assert not is_prime(10200) and not is_prime(10201) and not is_prime(101 * 103)
@@ -171,37 +152,28 @@ def test_sqrt_mod_prime_known_values():
 
 
 def test_sqrt_mod_prime_agrees_with_scan_below_541():
-    for p in _primes_below(542):
-        squares = _squares_mod(p)
+    for p in brute_primes_below(542):
+        least = brute_least_roots(p)
         for a in range(p):
-            z = sqrt_mod_prime(a, p)
-            if a in squares:
-                assert z is not None and z * z % p == a, (a, p)
-                assert z <= p - z  # smaller of the two roots
-            else:
-                assert z is None, (a, p)
+            assert sqrt_mod_prime(a, p) == least.get(a), (a, p)  # the smaller of two roots
 
 
 def test_sqrt_mod_prime_sampled_up_to_1e4():
     rng = random.Random(15)
-    primes = [p for p in _primes_below(10**4) if p > 541]
+    primes = [p for p in brute_primes_below(10**4) if p > 541]
     for p in rng.sample(primes, 25):
-        squares = _squares_mod(p)
+        least = brute_least_roots(p)
         for a in rng.sample(range(p), 60):
-            z = sqrt_mod_prime(a, p)
-            assert (z is not None) == (a in squares)
-            if z is not None:
-                assert z * z % p == a
-                assert 0 <= z <= p // 2
+            assert sqrt_mod_prime(a, p) == least.get(a), (a, p)
 
 
 def test_sqrt_mod_prime_shortcut_is_exact_for_3_mod_4_primes():
     # for p ≡ 3 (mod 4) and a a residue, (a^((p+1)/4))² ≡ a, and Tonelli-Shanks
     # with s = 1 returns that root with no step
-    for p in _primes_below(1000):
+    for p in brute_primes_below(1000):
         if p % 4 != 3:
             continue
-        for a in _squares_mod(p):
+        for a in brute_least_roots(p):
             if a == 0:
                 continue
             z = pow(a, (p + 1) // 4, p)
@@ -231,18 +203,6 @@ def test_sqrt_mod_prime_names_an_even_modulus_as_not_prime():
 
 # --- factor ------------------------------------------------------------------
 
-def _count_calls(monkeypatch, name):
-    calls = [0]
-    original = getattr(numtheory, name)
-
-    def wrapper(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(numtheory, name, wrapper)
-    return calls
-
-
 def test_factor_known_values():
     assert factor(12).factors == ((2, 2), (3, 1))
     assert factor(1).factors == ()
@@ -268,11 +228,11 @@ def test_factor_beyond_trial_division():
     assert f.factors == ((p1, 1), (p2, 1))
 
 
-def test_factor_certifies_each_prime_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "is_prime")
+def test_factor_certifies_each_prime_once(count_calls):
+    calls = count_calls(numtheory, "is_prime")
     m = 2**521 - 1  # Mersenne prime
     assert factor(m).factors == ((m, 1),)
-    assert calls[0] == 1
+    assert calls["is_prime"] == 1
 
 
 def _record_rounds(monkeypatch):
@@ -319,8 +279,8 @@ def test_is_prime_runs_the_lucas_test_only_after_base_2(monkeypatch):
 def test_small_primes_are_the_primes_below_100():
     # is_prime looks m up among the primes below TRIAL_BOUND, and screens
     # larger m with the product of the 25 primes below 100 first
-    assert numtheory._TRIAL_PRIME_SET == frozenset(_primes_below(numtheory.TRIAL_BOUND))
-    assert numtheory._SMALL_PRODUCT == prod(_primes_below(100))
+    assert numtheory._TRIAL_PRIME_SET == frozenset(brute_primes_below(numtheory.TRIAL_BOUND))
+    assert numtheory._SMALL_PRODUCT == prod(brute_primes_below(100))
 
 
 def test_is_prime_screen_rejects_a_factor_below_trial_bound_before_any_base(monkeypatch):
@@ -416,7 +376,7 @@ def _passes_base_2(m):
 
 
 def test_strong_lucas_passes_exactly_the_odd_primes_and_a217255_below_30000():
-    primes = set(_primes_below(30000)) - {2}
+    primes = set(brute_primes_below(30000)) - {2}
     passed = {m for m in range(3, 30000, 2) if numtheory._strong_lucas_prp(m)}
     assert primes <= passed
     assert sorted(passed - primes) == list(STRONG_LUCAS_PSEUDOPRIMES)
@@ -487,7 +447,7 @@ def test_euler_minus_one_forces_jacobi_minus_one_for_every_odd_modulus_below_600
 
 
 def test_sqrt_mod_prime_none_on_a_composite_modulus_means_jacobi_minus_one():
-    primes = set(_primes_below(600))
+    primes = set(brute_primes_below(600))
     rng = random.Random(19)
     cases = [(a, m) for m in range(9, 600, 2) if m not in primes for a in range(m)]
     carmichael = [prod((6 * k + 1, 12 * k + 1, 18 * k + 1)) for k in CHERNICK_K]
@@ -516,19 +476,19 @@ def test_factor_agrees_with_sympy_below_20000_and_on_30_to_64_bits():
         assert factor(m).factors == tuple(sorted(sympy.factorint(m).items())), m
 
 
-def test_factor_at_the_edges_of_the_trial_primes(monkeypatch):
+def test_factor_at_the_edges_of_the_trial_primes(count_calls):
     # the primes below TRIAL_BOUND leave with their multiplicity, so only
     # the cofactor above it is certified
     sympy = pytest.importorskip("sympy")
-    calls = _count_calls(monkeypatch, "is_prime")
+    calls = count_calls(numtheory, "is_prime")
     for m, expected, certified in (
         (2**40 * 3**5 * 5**3, ((2, 40), (3, 5), (5, 3)), 0),
         (9973**3 * 10007, ((9973, 3), (10007, 1)), 1),
         (9967 * 9973 * (2**61 - 1), ((9967, 1), (9973, 1), (2**61 - 1, 1)), 1),
     ):
-        calls[0] = 0
+        calls["is_prime"] = 0
         assert factor(m).factors == expected
-        assert calls[0] == certified
+        assert calls["is_prime"] == certified
         assert dict(expected) == sympy.factorint(m)
 
 
@@ -569,7 +529,7 @@ def test_stage_2_visits_every_prime_between_1000_and_trial_bound():
     D, J, K = numtheory._STAGE2_D, numtheory._STAGE2_J, numtheory._STAGE2_K
     assert (D, len(J), K) == (210, 24, range(5, 48))
     visited = {k * D + s * j for k in K for j in J for s in (1, -1)}
-    stage2 = [p for p in _primes_below(10_000) if p > 1000]
+    stage2 = [p for p in brute_primes_below(10_000) if p > 1000]
     assert len(stage2) == 1061
     assert visited.issuperset(stage2)
 
@@ -601,10 +561,10 @@ def test_factor_agrees_with_sympy_on_products_of_14_to_40_bit_primes(big, small)
     # Pollard-Brent splits each piece that p-1 catches whole
     (10009 * 10037 * 10061, ((10009, 1), (10037, 1), (10061, 1)), 2),
 ])
-def test_factor_splits_with_pm1_before_pollard_brent(monkeypatch, m, expected, brent_calls):
-    calls = _count_calls(monkeypatch, "_pollard_brent")
+def test_factor_splits_with_pm1_before_pollard_brent(count_calls, m, expected, brent_calls):
+    calls = count_calls(numtheory, "_pollard_brent")
     assert factor(m).factors == expected
-    assert calls[0] == brent_calls
+    assert calls["_pollard_brent"] == brent_calls
 
 
 @pytest.mark.parametrize("m, brent_calls, stage2_calls", [
@@ -618,13 +578,23 @@ def test_factor_splits_with_pm1_before_pollard_brent(monkeypatch, m, expected, b
     # group of P - 1, which has the primes 12497 and 442963: Pollard-Brent splits
     (268435561 * 268435579, 1, 2),
 ])
-def test_factor_splits_with_pp1_before_pollard_brent(monkeypatch, m, brent_calls, stage2_calls):
+def test_factor_splits_with_pp1_before_pollard_brent(count_calls, m, brent_calls, stage2_calls):
     sympy = pytest.importorskip("sympy")
-    brent = _count_calls(monkeypatch, "_pollard_brent")
-    pp1 = _count_calls(monkeypatch, "_williams_pp1")
-    stage2 = _count_calls(monkeypatch, "_lucas_stage2")
+    calls = {}
+    for name in ("_williams_pp1", "_lucas_stage2", "_pollard_brent"):
+        count_calls(numtheory, name, calls)
     assert dict(factor(m).factors) == sympy.factorint(m)
-    assert (pp1[0], stage2[0], brent[0]) == (1, stage2_calls, brent_calls)
+    assert calls == {"_williams_pp1": 1, "_lucas_stage2": stage2_calls, "_pollard_brent": brent_calls}
+
+
+def test_factor_splits_a_square_piece_by_isqrt_alone(count_calls):
+    # P = 17104490322097 is a 44-bit prime whose P² every one of the three
+    # methods leaves whole within FACTOR_EFFORT; isqrt splits any P² at once
+    calls = count_calls(numtheory, "_pollard_pm1")
+    P, M = 17104490322097, 2**521 - 1
+    for m, expected in ((P**2, ((P, 2),)), (3 * P**2, ((3, 1), (P, 2))), (M**2, ((M, 2),))):
+        assert factor(m).factors == expected
+    assert calls == {"_pollard_pm1": 0}
 
 
 # --- factor's stop callback ---------------------------------------------------
@@ -656,12 +626,12 @@ def test_factor_calls_stop_just_before_each_split():
     assert seen == [[2, 2, 2, 3, 10007 * 10009 * 10037], [10007, 10009 * 10037]]
 
 
-def test_factor_returns_none_when_stop_fires_before_any_split(monkeypatch):
-    calls = _count_calls(monkeypatch, "_pollard_brent")
+def test_factor_returns_none_when_stop_fires_before_any_split(monkeypatch, count_calls):
+    calls = count_calls(numtheory, "_pollard_brent")
     monkeypatch.setattr(numtheory, "FACTOR_EFFORT", 10)  # too little to split m
     m = 1_000_003 * 1_000_033
     assert factor(m, stop=lambda divisors: divisors == [m]) is None
-    assert calls[0] == 0
+    assert calls["_pollard_brent"] == 0
 
 
 def test_factor_rejects_nonpositive():
@@ -717,17 +687,10 @@ def test_sqrt_mod_rejects_non_coprime_and_bad_factorization():
 def test_sqrt_mod_agrees_with_scan_below_200():
     for m in range(2, 200):
         fact = factor(m)
-        squares = _squares_mod(m)
+        least = brute_least_roots(m)
         for a in range(1, m):
-            if gcd(a, m) != 1:
-                continue
-            z = sqrt_mod(a, m, fact)
-            if a in squares:
-                assert z is not None and z * z % m == a, (a, m)
-                # smallest nonnegative root overall
-                assert all(x * x % m != a for x in range(z)), (a, m)
-            else:
-                assert z is None, (a, m)
+            if gcd(a, m) == 1:  # the smallest nonnegative root overall, or None
+                assert sqrt_mod(a, m, fact) == least.get(a), (a, m)
 
 
 def test_sqrt_mod_is_the_smallest_root_past_16_combinations():
@@ -735,7 +698,7 @@ def test_sqrt_mod_is_the_smallest_root_past_16_combinations():
     for m in (8 * 3 * 5 * 7, 16 * 3 * 5 * 7, 8 * 9 * 5 * 7, 3 * 5 * 7 * 11 * 13,
               2 * 3 * 5 * 7 * 11 * 13, 8 * 3 * 5 * 7 * 11 * 13):
         fact = factor(m)
-        least = _least_roots_mod(m)
+        least = brute_least_roots(m)
         for a in range(1, m):
             if gcd(a, m) == 1:
                 assert sqrt_mod(a, m, fact) == least.get(a), (a, m)
@@ -746,7 +709,7 @@ def test_sqrt_mod_sampled_up_to_2000():
     for _ in range(40):
         m = rng.randint(200, 2000)
         fact = factor(m)
-        least = _least_roots_mod(m)
+        least = brute_least_roots(m)
         for a in rng.sample(range(1, m), 30):
             if gcd(a, m) != 1:
                 continue
@@ -760,7 +723,7 @@ def test_sqrt_mod_is_the_smallest_root_on_smooth_moduli(e):
     # (32 and up).  Factors ascend, so the power of two, when there is one,
     # always opens the search's first half.
     residue_ntheory = pytest.importorskip("sympy.ntheory.residue_ntheory")
-    odd = _primes_below(200)[1:]
+    odd = brute_primes_below(200)[1:]
     rng = random.Random(4100 + e)
     for k in range(0 if e else 1, 14):
         m = prod(p ** rng.choice((1, 1, 1, 2)) for p in rng.sample(odd, k)) << e
@@ -777,20 +740,16 @@ def test_sqrt_mod_prime_power_lifting():
     # odd prime powers and 2-powers with multiple root classes
     for m in (27, 125, 343, 2401, 16, 32, 64, 121 * 8):
         fact = factor(m)
-        squares = _squares_mod(m)
+        least = brute_least_roots(m)
         for a in range(1, m):
-            if gcd(a, m) != 1:
-                continue
-            z = sqrt_mod(a, m, fact)
-            assert (z is not None) == (a in squares), (a, m)
-            if z is not None:
-                assert z * z % m == a
+            if gcd(a, m) == 1:
+                assert sqrt_mod(a, m, fact) == least.get(a), (a, m)
 
 
 def test_roots_mod_prime_power_are_every_root_below_3000():
     # every prime power pe < 3000, 2-powers included, against one squares table per pe
     checked = 0
-    for prime in _primes_below(3000):
+    for prime in brute_primes_below(3000):
         pe, exp = prime, 1
         while pe < 3000:
             roots_of = {}
@@ -806,7 +765,7 @@ def test_roots_mod_prime_power_are_every_root_below_3000():
 
 
 def test_sqrt_mod_caps_its_root_combinations():
-    odd = _primes_below(100)[1:]
+    odd = brute_primes_below(100)[1:]
     m = prod(odd[:19])  # 2^19 root combinations, above the 2^18 cap
     fact = factor(m)
     start = time.perf_counter()

@@ -13,14 +13,17 @@ import pytest
 
 from lenshf.errors import DomainError
 from lenshf.lens import LensSpace
-from lenshf.oracle import (
-    brute_form_represents,
-    brute_n2,
-    brute_n3,
-    brute_qr,
-)
 from lenshf.quadform import QuadForm
 from lenshf.witness import verify
+from oracle import (
+    brute_form_represents,
+    brute_is_prime,
+    brute_least_roots,
+    brute_n2,
+    brute_n3,
+    brute_primes_below,
+    brute_qr,
+)
 
 
 def test_brute_qr_known_values():
@@ -37,8 +40,16 @@ def test_brute_qr_known_values():
 def test_brute_qr_matches_square_sets():
     for m in range(1, 80):
         squares = {x * x % m for x in range(m)}
+        assert brute_least_roots(m).keys() == squares
         for a in range(m):
             assert brute_qr(a, m) == (a in squares)
+
+
+def test_brute_least_roots_and_the_prime_references_known_values():
+    assert brute_least_roots(8) == {0: 0, 1: 1, 4: 2}
+    assert brute_least_roots(15) == {0: 0, 1: 1, 4: 2, 9: 3, 10: 5, 6: 6}
+    assert [m for m in range(-2, 30) if brute_is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert brute_primes_below(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29] and brute_primes_below(2) == []
 
 
 def test_brute_n2_known_values():

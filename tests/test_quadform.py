@@ -9,8 +9,8 @@ from math import gcd
 import pytest
 
 from lenshf.errors import DomainError, ResourceError
-from lenshf.oracle import brute_form_represents
 from lenshf.quadform import QuadForm, construct_representing_form, solvable_congruence
+from oracle import brute_form_represents
 
 
 def test_evaluate_known_values():

@@ -18,7 +18,6 @@ import lenshf.solver
 from lenshf.errors import DomainError, IntegrityError, ResourceError
 from lenshf.lens import BezoutPair, LensSpace, bezout
 from lenshf.numtheory import factor, is_prime, jacobi, mod_inv
-from lenshf.oracle import brute_n2, brute_qr
 from lenshf.solver import (
     ConstructionTrace,
     PrimeShift,
@@ -28,6 +27,7 @@ from lenshf.solver import (
     solve_n3,
 )
 from lenshf.witness import Witness, certificate_to_json, verify
+from oracle import brute_n2, brute_qr
 
 
 # --- solve_n2 ----------------------------------------------------------------
@@ -367,35 +367,23 @@ def test_factorization_of_another_number_is_rejected():
 
 # --- count 3 from the Jacobi symbols of ±q -----------------------------------
 
-def _count_calls(monkeypatch, name):
-    calls = [0]
-    original = getattr(lenshf.solver, name)
-
-    def wrapper(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(lenshf.solver, name, wrapper)
-    return calls
-
-
-def test_count_three_by_jacobi_symbols_factors_nothing(monkeypatch):
-    calls = _count_calls(monkeypatch, "factor")
+def test_count_three_by_jacobi_symbols_factors_nothing(count_calls):
+    calls = count_calls(lenshf.solver, "factor")
     p512, q512 = next(param.values[:2] for param in _GOLDEN_CERTIFICATES if param.id == "q-branch-512")
     for p, q in ((5, 2), (p512, q512)):
         assert jacobi(q, p) == jacobi(-q, p) == -1
         assert minimal_planar_boundaries(LensSpace(p, q))[0] == 3
-    assert calls[0] == 0
+    assert calls["factor"] == 0
     assert minimal_planar_boundaries(LensSpace(7, 3))[0] == 2
-    assert calls[0] == 1
+    assert calls["factor"] == 1
 
 
-def test_count_three_with_a_plus_one_symbol_still_solves(monkeypatch):
+def test_count_three_with_a_plus_one_symbol_still_solves(count_calls):
     # (2|15) = (2|3)(2|5) = +1, yet 2 is a square mod neither 3 nor 5
-    calls = _count_calls(monkeypatch, "sqrt_mod")
+    calls = count_calls(lenshf.solver, "sqrt_mod")
     assert jacobi(2, 15) == 1
     assert minimal_planar_boundaries(LensSpace(15, 2))[0] == 3
-    assert calls[0] >= 1
+    assert calls["sqrt_mod"] >= 1
 
 
 def test_solve_n2_without_a_factorization_matches_with_one():
@@ -453,41 +441,34 @@ def test_solve_n2_none_past_trial_bound_agrees_with_sympy():
             assert (solve_n2(LensSpace(p, q)) is None) == (not square), (p, q)
 
 
-def test_solve_n2_stops_factoring_once_both_signs_are_ruled_out(monkeypatch):
+def test_solve_n2_stops_factoring_once_both_signs_are_ruled_out(count_calls):
     # p ≡ 1 (mod 4) and (±2|p) = +1, so p must be factored; its first split
     # gives 10037 and 10009*10061, and (±2|10037) = -1 rules out both signs
-    calls = [0]
-    split = lenshf.numtheory._pollard_brent
-
-    def counting(*args):
-        calls[0] += 1
-        return split(*args)
-
-    monkeypatch.setattr(lenshf.numtheory, "_pollard_brent", counting)
+    calls = count_calls(lenshf.numtheory, "_pollard_brent")
     p = 10009 * 10037 * 10061
     assert jacobi(2, p) == jacobi(-2, p) == 1 and jacobi(2, 10037) == jacobi(-2, 10037) == -1
     fact = factor(p)
-    assert calls[0] == 2
-    calls[0] = 0
+    assert calls["_pollard_brent"] == 2
+    calls["_pollard_brent"] = 0
     assert solve_n2(LensSpace(p, 2)) is None
-    assert calls[0] == 1
+    assert calls["_pollard_brent"] == 1
     # the small primes count too: (±2|5) = (±2|13) = -1 decide before any
     # split, although (±2|10009*10169) = +1
-    calls[0] = 0
+    calls["_pollard_brent"] = 0
     assert solve_n2(LensSpace(5 * 13 * 10009 * 10169, 2)) is None
-    assert calls[0] == 0
+    assert calls["_pollard_brent"] == 0
     # a count-2 q still factors p completely, to the same certificate
-    calls[0] = 0
+    calls["_pollard_brent"] = 0
     cert = solve_n2(LensSpace(p, 13))
-    assert calls[0] == 2
+    assert calls["_pollard_brent"] == 2
     assert cert is not None and cert == solve_n2(LensSpace(p, 13), fact=fact)
 
 
-def test_solve_n2_takes_one_jacobi_symbol_per_odd_divisor_while_a_sign_is_left(monkeypatch):
+def test_solve_n2_takes_one_jacobi_symbol_per_odd_divisor_while_a_sign_is_left(count_calls):
     # d = p first, then each divisor factor(p) finds; (-q|d) = ±(q|d) by d mod 4
-    calls = _count_calls(monkeypatch, "jacobi")
+    calls = count_calls(lenshf.solver, "jacobi")
     p = 10009 * 10037 * 10061
     for n, q, symbols in ((p, 2, 3), (p, 13, 4), (5 * 13 * 10009 * 10169, 2, 2)):
-        calls[0] = 0
+        calls["jacobi"] = 0
         solve_n2(LensSpace(n, q))
-        assert calls[0] == symbols, (n, q)
+        assert calls["jacobi"] == symbols, (n, q)
