@@ -1,7 +1,8 @@
 """Exact integer kernel: modular inverses, Jacobi symbols, primality,
 modular square roots and factoring (trial gcd, then Pollard p-1, Williams
-p+1 and Pollard-Brent in turn on each composite piece, under one effort
-budget; p-1 and p+1 share one Lucas-sequence stage 2).
+p+1 and Lenstra's elliptic curve method in turn on each composite piece,
+under one effort budget; p-1 and p+1 share one Lucas-sequence stage 2, and
+ECM's stage 2 walks the same k*D ± j grid on curve points).
 
 Everything operates on plain Python integers (arbitrary precision) and no
 floating point is used anywhere.  All functions are pure and safe to call
@@ -19,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Callable
+from itertools import count
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, IntegrityError, NotInvertibleError, ResourceError
@@ -68,6 +70,21 @@ _PM1_EXPONENT = _prime_power_product(1000)
 _STAGE2_D = 210
 _STAGE2_J = tuple(j for j in range(1, _STAGE2_D // 2, 2) if gcd(j, _STAGE2_D) == 1)
 _STAGE2_K = range(5, 48)
+
+# ECM's steps (B1, B2, curves): rising bounds, each run on its number of
+# curves, and the last (curves 0) on curves without end.  The first two were
+# fitted on products of 20-32-bit primes, the rest on semiprimes of two
+# 40-52-bit primes, by counts of ladder bits, curve additions and stage-2
+# products.  Every B1 is at least D/2 and at most TRIAL_BOUND.  Stage 1 is
+# charged _ECM_STAGE1_UNITS per bit of its exponent and stage 2
+# _ECM_STAGE2_UNITS per product term and per giant step; both were fitted
+# so that FACTOR_EFFORT runs out no later than Pollard-Brent's did on a
+# 160-bit semiprime (about 5 us per ladder bit and 1.2 us per term there, on
+# a 2-vCPU host).
+_ECM_STEPS = ((120, 6000, 20), (350, 10_000, 40), (1000, 50_000, 60), (3000, 150_000, 200),
+              (10_000, 1_000_000, 0))
+_ECM_STAGE1_UNITS = 8
+_ECM_STAGE2_UNITS = 2
 
 
 def mod_inv(a: int, m: int) -> int:
@@ -342,40 +359,102 @@ def _williams_pp1(n: int, budget: list[int]) -> int:
     return _lucas_stage2(v, n, budget, "Williams p+1 stage 2")
 
 
-def _pollard_brent(n: int, budget: list[int]) -> int:
-    """A nontrivial factor of odd composite n (Brent's cycle variant).
+def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int) -> tuple[int, int]:
+    """P + Q on a Montgomery curve, x-only ((X:Z), Y dropped), from diff = P - Q."""
+    u = (p[0] - p[1]) * (q[0] + q[1]) % n
+    v = (p[0] + p[1]) * (q[0] - q[1]) % n
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
 
-    budget is a single-element list of remaining effort, shared across
-    calls and charged one unit per iteration; exhausting it raises
-    ResourceError.
+
+def _ladder(k: int, pt: tuple[int, int], a24: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(kP, (k+1)P), k >= 1, on the Montgomery curve with a24 = (A + 2)/4.
+
+    The ladder's two points R0, R1 always differ by P = pt: each bit sets
+    them to (2*R0, R0 + R1), swapped in and out when the bit is 1.  xDBL and
+    xADD are written out here (a quarter faster than calls at 64 bits)."""
+    x, z = x0, z0 = pt
+    s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+    t = s - d
+    x1, z1 = s * d % n, t * (d + a24 * t) % n
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+        s, d = x0 + z0, x0 - z0
+        u, v = d * (x1 + z1) % n, s * (x1 - z1) % n
+        s, d = s * s % n, d * d % n
+        t = s - d
+        x0, z0, x1, z1 = s * d % n, t * (d + a24 * t) % n, z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+    return (x0, z0), (x1, z1)
+
+
+def _ecm(n: int, budget: list[int]) -> int:
+    """A proper divisor of odd composite n by Lenstra's elliptic curve method.
+
+    Curve sigma = 6, 7, ... is Suyama's Montgomery curve: with u = sigma**2
+    - 5 and v = 4*sigma, the point x = u**3/v**3 on the curve with (A + 2)/4
+    = (v - u)**3 * (3u + v) / (16 * u**3 * v), whose group order mod every
+    prime is 12 times a cofactor.  Each step of _ECM_STEPS runs its number
+    of curves, the last without end, so the method returns only on a split
+    and FACTOR_EFFORT alone bounds its work.  Stage 1 multiplies the point
+    by E = _prime_power_product(B1) with one ladder, so a prime P of n
+    divides Z when the point's order mod P divides E.  Stage 2
+    (_ecm_stage2) then catches the P where it divides E times one prime in
+    (B1, B2].  A curve whose gcd is n is passed over.
     """
-    for c in range(1, 64):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-            _charge(budget, r, "Pollard-Brent", n)
-        if g != n:
-            return g
-        # batch gcd collapsed; replay one step at a time
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ResourceError(f"Pollard rho failed to split {n}")
+    sigma = 5
+    for b1, b2, curves in _ECM_STEPS:
+        e = _prime_power_product(b1)
+        ks = range((b1 + _STAGE2_D // 2) // _STAGE2_D, (b2 + _STAGE2_D // 2) // _STAGE2_D + 1)
+        for _ in range(curves) if curves else count():
+            sigma += 1
+            u, v = sigma * sigma - 5, 4 * sigma
+            x, z = u ** 3 % n, v ** 3 % n
+            d = 16 * x * v % n  # the denominator of (A + 2)/4
+            try:
+                inv = pow(d * z, -1, n)  # one inverse for (A + 2)/4 and x/z
+            except ValueError:
+                g = gcd(d * z, n)
+                if g < n:
+                    return g
+                continue
+            a24 = (v - u) ** 3 * (3 * u + v) * z % n * inv % n
+            pt = x * d % n * inv % n, 1
+            _charge(budget, _ECM_STAGE1_UNITS * e.bit_length(), "ECM stage 1", n)
+            pt = _ladder(e, pt, a24, n)[0]
+            g = gcd(pt[1], n)
+            if g == 1:
+                _charge(budget, _ECM_STAGE2_UNITS * len(ks) * (len(_STAGE2_J) + 1), "ECM stage 2", n)
+                g = _ecm_stage2(pt, a24, n, ks)
+            if g != n and g != 1:
+                return g
+
+
+def _ecm_stage2(pt: tuple[int, int], a24: int, n: int, ks: range) -> int:
+    """gcd(n, product of X_kD*Z_j - X_j*Z_kD over k in ks, j in _STAGE2_J).
+
+    (X_j:Z_j) = j*Q for Q = pt are the baby steps and (X_kD:Z_kD) = k*D*Q
+    the giant steps.  A term vanishes mod a prime P of n when k*D*Q = ±j*Q
+    there, so the product catches each P for which the order of Q divides
+    some k*D ± j.
+    """
+    baby = []
+    prev = cur = pt  # (j-2)Q and jQ from j = 1: -Q has Q's x
+    q2 = _ladder(1, pt, a24, n)[1]
+    for j in range(1, _STAGE2_D // 2, 2):
+        if j in _STAGE2_J:
+            baby.append(cur)
+        prev, cur = cur, _xadd(cur, q2, prev, n)
+    dq = _ladder(_STAGE2_D, pt, a24, n)[0]
+    g, h = _ladder(ks[0], dq, a24, n)  # k*D*Q and (k+1)*D*Q
+    acc = 1
+    for _ in ks:
+        gx, gz = g
+        for bx, bz in baby:
+            acc = acc * (gx * bz - bx * gz) % n
+        g, h = h, _xadd(h, dq, g, n)
+    return gcd(acc, n)
 
 
 def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factorization | None:
@@ -383,18 +462,23 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
 
     One gcd with the product of the primes below TRIAL_BOUND names the
     small primes, which are divided out.  A composite piece left that is a
-    square r*r splits into r and r by isqrt; any other, by the first of three
-    methods that splits it: Pollard p-1 (_pollard_pm1), which finds the
-    primes P with smooth P - 1; Williams p+1 (_williams_pp1) from the seed
-    3, which finds the P with (5|P) = -1 and smooth P + 1; and Pollard rho
-    (Brent).  Both p-1 and p+1 take stage 1 to E = lcm(1..1000) and one
-    shared stage 2 to the primes below TRIAL_BOUND.  Every piece is tested
-    once, by is_prime(piece), and the result is built without testing it
-    again.  All methods draw on one budget of FACTOR_EFFORT units: p-1
-    stage 1 costs one per bit of E (1,438), p+1 stage 1 two per bit
-    (2,876), each stage 2 1,075 and each Pollard-Brent iteration one.  A
-    stage that would overdraw it raises ResourceError, naming the stage and
-    the effort spent.
+    square r*r is pushed once as r with twice its multiplicity; any other
+    splits by the first of three methods that splits it: Pollard p-1
+    (_pollard_pm1), which finds the primes P with smooth P - 1; Williams p+1
+    (_williams_pp1) from the seed 3, which finds the P with (5|P) = -1 and
+    smooth P + 1; and Lenstra's elliptic curve method (_ecm), which finds
+    the P for which one of its curves has a smooth group order.  Both p-1
+    and p+1 take stage 1 to E = lcm(1..1000) and one shared stage 2 to the
+    primes below TRIAL_BOUND.  ECM runs curves with rising bounds
+    (_ECM_STEPS): B1 = 120, 350, 1000, 3000 and then 10^4 without end, and
+    B2 from 6000 to 10^6.  Every piece is tested once, by is_prime(piece),
+    and the result is built without testing it again.  All methods draw on
+    one budget of FACTOR_EFFORT units: p-1 stage 1 costs one per bit of E
+    (1,438), p+1 stage 1 two per bit (2,876), each of their stage 2s 1,075,
+    each ECM stage 1 eight per bit of its exponent (1,360 at B1 = 120) and
+    each ECM stage 2 two per product term and per giant step (1,450 at
+    B2 = 6000).  A stage that would overdraw the budget raises
+    ResourceError, naming the stage and the effort spent.
 
     stop, when given, is called just before each split, so never for a
     prime m or one with no prime factor above TRIAL_BOUND.  It gets the
@@ -418,25 +502,27 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
                 rem //= p
     budget = [FACTOR_EFFORT]
     found = [p for p, e in counts.items() for _ in range(e)] if stop is not None else []
-    stack = [rem] if rem > 1 else []
+    stack = [(rem, 1)] if rem > 1 else []  # (piece, multiplicity)
     while stack:
-        n = stack.pop()
+        n, e = stack.pop()
         found.append(n)
         if is_prime(n):
-            counts[n] = counts.get(n, 0) + 1
+            counts[n] = counts.get(n, 0) + e
             continue
         if stop is not None:
             if stop(found):
                 return None
             found = []
         g = isqrt(n)
-        if g * g != n:
-            for split in (_pollard_pm1, _williams_pp1, _pollard_brent):
-                g = split(n, budget)
-                if 1 < g < n:
-                    break
-        stack.append(g)
-        stack.append(n // g)
+        if g * g == n:
+            stack.append((g, 2 * e))
+            continue
+        for split in (_pollard_pm1, _williams_pp1, _ecm):
+            g = split(n, budget)
+            if 1 < g < n:
+                break
+        stack.append((g, e))
+        stack.append((n // g, e))
     # tuple.__new__ skips Factorization's checks: each prime was tested above
     return tuple.__new__(Factorization, (m, tuple(sorted(counts.items()))))
 

@@ -500,15 +500,17 @@ def test_factor_effort_cap(monkeypatch):
 
 def test_factor_effort_error_names_the_stage_and_the_effort_spent(monkeypatch):
     # neither prime P of m has a smooth P - 1 or P + 1, so p-1 (1,438 + 1,075
-    # units) and p+1 (2,876 + 1,075) split nothing and Pollard-Brent runs
-    # out, its first rounds cost 2 + 4 + ... + 1024 units
+    # units) and p+1 (2,876 + 1,075) split nothing and ECM runs out; its
+    # first curve (B1 = 120, B2 = 6000) costs 8 units for each of the 170
+    # bits of its stage-1 exponent, then 2 * 29 * (24 + 1) for stage 2
     m = (10**24 + 7) * (10**24 + 49)
     for cap, stage, spent, needed in (
         (1000, "Pollard p-1 stage 1", 0, 1438),
         (2000, "Pollard p-1 stage 2", 1438, 1075),
         (4000, "Williams p+1 stage 1", 2513, 2876),
         (6000, "Williams p+1 stage 2", 5389, 1075),
-        (9000, "Pollard-Brent", 8510, 2048),
+        (7000, "ECM stage 1", 6464, 1360),
+        (9000, "ECM stage 2", 7824, 1450),
     ):
         monkeypatch.setattr(numtheory, "FACTOR_EFFORT", cap)
         with pytest.raises(ResourceError, match=(
@@ -534,13 +536,44 @@ def test_stage_2_visits_every_prime_between_1000_and_trial_bound():
     assert visited.issuperset(stage2)
 
 
+def test_ecm_stage_2_visits_every_prime_in_each_step(monkeypatch):
+    # each step's stage-1 exponent holds every prime up to B1, and its giant
+    # steps reach every prime in (B1, B2] as k*D ± j on the same grid; curves
+    # are recorded with a stage 1 that finds nothing, up to the first of the
+    # open-ended last step
+    sympy = pytest.importorskip("sympy")
+    D, J, steps = numtheory._STAGE2_D, numtheory._STAGE2_J, numtheory._ECM_STEPS
+    finite = sum(curves for _, _, curves in steps[:-1])
+    assert all(steps[-1][2] == 0 < curves for _, _, curves in steps[:-1])
+    seen = []
+
+    def stage2(pt, a24, n, ks):
+        seen.append(ks)
+        if len(seen) > finite:
+            raise ResourceError("stop")
+        return 1
+
+    monkeypatch.setattr(numtheory, "_ladder", lambda k, pt, a24, n: (pt, pt))
+    monkeypatch.setattr(numtheory, "_ecm_stage2", stage2)
+    with pytest.raises(ResourceError, match="^stop$"):
+        numtheory._ecm((10**24 + 7) * (10**24 + 49), [10**9])
+    for b1, b2, curves in steps:
+        ks = seen[0]
+        assert ks[0] >= 1  # _ladder needs k >= 1, so B1 >= D/2
+        assert seen[:curves or 1] == [ks] * (curves or 1)
+        del seen[:curves or 1]
+        assert numtheory._prime_power_product(b1) == lcm(*range(1, b1 + 1))
+        visited = {k * D + s * j for k in ks for j in J for s in (1, -1)}
+        assert visited.issuperset(sympy.primerange(b1 + 1, b2 + 1)), (b1, b2)
+    assert seen == []
+
+
 def _start_of_bits(lo, hi):
     return st.integers(lo, hi).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
 
 
-# One prime of 14-40 bits and one or two of 14-32: Pollard-Brent's cost grows
-# with the second-largest prime, about 2**16 iterations at 32 bits and 2**20
-# (seconds) when two primes of 40 bits both have a P - 1 beyond p-1's reach.
+# One prime of 14-40 bits and one or two of 14-32: whichever p-1 and p+1 leave
+# whole, ECM splits in milliseconds.
 @seed(20261019)
 @settings(max_examples=25, deadline=None, database=None)
 @given(_start_of_bits(14, 40), st.lists(_start_of_bits(14, 32), min_size=1, max_size=2))
@@ -552,22 +585,35 @@ def test_factor_agrees_with_sympy_on_products_of_14_to_40_bit_primes(big, small)
     assert factor(m, stop=lambda divisors: False).factors == expected
 
 
-@pytest.mark.parametrize("m, expected, brent_calls", [
+# Two primes of 36-44 bits, the sizes where Pollard-Brent ran out of
+# FACTOR_EFFORT: ECM splits them in well under a second each.
+@seed(20261020)
+@settings(max_examples=8, deadline=None, database=None)
+@given(_start_of_bits(36, 44), _start_of_bits(36, 44))
+def test_factor_agrees_with_sympy_on_products_of_two_36_to_44_bit_primes(x, y):
+    sympy = pytest.importorskip("sympy")
+    m = sympy.nextprime(x) * sympy.nextprime(y)
+    assert factor(m).factors == tuple(sorted(sympy.factorint(m).items()))
+
+
+# This test and the next keep "pollard_brent" in their names, after the method
+# that ECM replaced as the third one, so that their test ids stay the same.
+@pytest.mark.parametrize("m, expected, ecm_calls", [
     # 1000033 - 1 = 2^5 * 3 * 11 * 947 divides the stage-1 exponent
     (1000033 * (10**24 + 49), ((1000033, 1), (10**24 + 49, 1)), 0),
     # 10079 - 1 = 2 * 5039: only stage 2 tries the prime 5039
     (10079 * (10**24 + 7), ((10079, 1), (10**24 + 7, 1)), 0),
-    # P - 1 is 1000-smooth for all three, so stage 1 gives g = m and
-    # Pollard-Brent splits each piece that p-1 catches whole
+    # P - 1 is 1000-smooth for all three, so stage 1 gives g = m; p+1 splits
+    # nothing either, and ECM splits each piece that p-1 catches whole
     (10009 * 10037 * 10061, ((10009, 1), (10037, 1), (10061, 1)), 2),
 ])
-def test_factor_splits_with_pm1_before_pollard_brent(count_calls, m, expected, brent_calls):
-    calls = count_calls(numtheory, "_pollard_brent")
+def test_factor_splits_with_pm1_before_pollard_brent(count_calls, m, expected, ecm_calls):
+    calls = count_calls(numtheory, "_ecm")
     assert factor(m).factors == expected
-    assert calls["_pollard_brent"] == brent_calls
+    assert calls["_ecm"] == ecm_calls
 
 
-@pytest.mark.parametrize("m, brent_calls, stage2_calls", [
+@pytest.mark.parametrize("m, ecm_calls, stage2_calls", [
     # P + 1 = 2*13*163*331*547*809*941*997 divides the stage-1 exponent and
     # (5|P) = -1, while P - 1 = 2^2*3*563*86202514637831: p+1 stage 1 splits
     (582384188893186237 * 2280771146087475637, 0, 1),
@@ -575,26 +621,31 @@ def test_factor_splits_with_pm1_before_pollard_brent(count_calls, m, expected, b
     # 2*151*82759*249257: only p+1 stage 2 tries 9973, the last prime it visits
     (6229734539027 * (10**24 + 7), 0, 2),
     # P ≡ ±1 (mod 5), so (5|P) = +1 for both primes and p+1 works in the
-    # group of P - 1, which has the primes 12497 and 442963: Pollard-Brent splits
+    # group of P - 1, which has the primes 12497 and 442963: ECM splits
     (268435561 * 268435579, 1, 2),
 ])
-def test_factor_splits_with_pp1_before_pollard_brent(count_calls, m, brent_calls, stage2_calls):
+def test_factor_splits_with_pp1_before_pollard_brent(count_calls, m, ecm_calls, stage2_calls):
     sympy = pytest.importorskip("sympy")
     calls = {}
-    for name in ("_williams_pp1", "_lucas_stage2", "_pollard_brent"):
+    for name in ("_williams_pp1", "_lucas_stage2", "_ecm"):
         count_calls(numtheory, name, calls)
     assert dict(factor(m).factors) == sympy.factorint(m)
-    assert calls == {"_williams_pp1": 1, "_lucas_stage2": stage2_calls, "_pollard_brent": brent_calls}
+    assert calls == {"_williams_pp1": 1, "_lucas_stage2": stage2_calls, "_ecm": ecm_calls}
 
 
 def test_factor_splits_a_square_piece_by_isqrt_alone(count_calls):
-    # P = 17104490322097 is a 44-bit prime whose P² every one of the three
-    # methods leaves whole within FACTOR_EFFORT; isqrt splits any P² at once
-    calls = count_calls(numtheory, "_pollard_pm1")
+    # isqrt splits any P² at once, before any of the three methods, and
+    # pushes P once with multiplicity 2, so is_prime certifies it once: two
+    # calls per m, the square and then its root
+    calls = {}
+    for name in ("_pollard_pm1", "is_prime"):
+        count_calls(numtheory, name, calls)
     P, M = 17104490322097, 2**521 - 1
     for m, expected in ((P**2, ((P, 2),)), (3 * P**2, ((3, 1), (P, 2))), (M**2, ((M, 2),))):
+        calls["is_prime"] = 0
         assert factor(m).factors == expected
-    assert calls == {"_pollard_pm1": 0}
+        assert calls["is_prime"] == 2, m
+    assert calls["_pollard_pm1"] == 0
 
 
 # --- factor's stop callback ---------------------------------------------------
@@ -627,11 +678,11 @@ def test_factor_calls_stop_just_before_each_split():
 
 
 def test_factor_returns_none_when_stop_fires_before_any_split(monkeypatch, count_calls):
-    calls = count_calls(numtheory, "_pollard_brent")
+    calls = count_calls(numtheory, "_ecm")
     monkeypatch.setattr(numtheory, "FACTOR_EFFORT", 10)  # too little to split m
     m = 1_000_003 * 1_000_033
     assert factor(m, stop=lambda divisors: divisors == [m]) is None
-    assert calls["_pollard_brent"] == 0
+    assert calls["_ecm"] == 0
 
 
 def test_factor_rejects_nonpositive():

@@ -443,32 +443,40 @@ def test_solve_n2_none_past_trial_bound_agrees_with_sympy():
 
 def test_solve_n2_stops_factoring_once_both_signs_are_ruled_out(count_calls):
     # p ≡ 1 (mod 4) and (±2|p) = +1, so p must be factored; its first split
-    # gives 10037 and 10009*10061, and (±2|10037) = -1 rules out both signs
-    calls = count_calls(lenshf.numtheory, "_pollard_brent")
+    # (ECM's) gives 10037 and 10009*10061, the second is tested first, and
+    # (±2|10009*10061) = -1 rules out both signs
+    calls = count_calls(lenshf.numtheory, "_ecm")
     p = 10009 * 10037 * 10061
-    assert jacobi(2, p) == jacobi(-2, p) == 1 and jacobi(2, 10037) == jacobi(-2, 10037) == -1
+    assert jacobi(2, p) == jacobi(-2, p) == 1
+    for d in (10037, 10009 * 10061):
+        assert jacobi(2, d) == jacobi(-2, d) == -1
     fact = factor(p)
-    assert calls["_pollard_brent"] == 2
-    calls["_pollard_brent"] = 0
+    assert calls["_ecm"] == 2
+    calls["_ecm"] = 0
     assert solve_n2(LensSpace(p, 2)) is None
-    assert calls["_pollard_brent"] == 1
+    assert calls["_ecm"] == 1
     # the small primes count too: (±2|5) = (±2|13) = -1 decide before any
     # split, although (±2|10009*10169) = +1
-    calls["_pollard_brent"] = 0
+    calls["_ecm"] = 0
     assert solve_n2(LensSpace(5 * 13 * 10009 * 10169, 2)) is None
-    assert calls["_pollard_brent"] == 0
+    assert calls["_ecm"] == 0
     # a count-2 q still factors p completely, to the same certificate
-    calls["_pollard_brent"] = 0
+    calls["_ecm"] = 0
     cert = solve_n2(LensSpace(p, 13))
-    assert calls["_pollard_brent"] == 2
+    assert calls["_ecm"] == 2
     assert cert is not None and cert == solve_n2(LensSpace(p, 13), fact=fact)
 
 
 def test_solve_n2_takes_one_jacobi_symbol_per_odd_divisor_while_a_sign_is_left(count_calls):
-    # d = p first, then each divisor factor(p) finds; (-q|d) = ±(q|d) by d mod 4
+    # d = p first, then each divisor factor(p) finds; (-q|d) = ±(q|d) by d mod 4.
+    # factor passes p to stop as well, and then the divisors tested before
+    # each later split.  ECM splits p into 10037 and 10009*10061 and tests the
+    # second first; its split is the last, so stop never sees 10037 or the
+    # primes of 10009*10061: q = 13 (+1 mod every d) takes 3 symbols, p
+    # twice and 10009*10061
     calls = count_calls(lenshf.solver, "jacobi")
     p = 10009 * 10037 * 10061
-    for n, q, symbols in ((p, 2, 3), (p, 13, 4), (5 * 13 * 10009 * 10169, 2, 2)):
+    for n, q, symbols in ((p, 2, 3), (p, 13, 3), (5 * 13 * 10009 * 10169, 2, 2)):
         calls["jacobi"] = 0
         solve_n2(LensSpace(n, q))
         assert calls["jacobi"] == symbols, (n, q)
