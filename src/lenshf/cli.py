@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: analyze (one lens space), table (sweep p up to a bound),
-verify (recheck a certificate file).
+verify (recheck a certificate file).  The solver decides and certifies;
+this module parses arguments and formats what it returns: table prints
+solver.table_rows for each p, with per-p counts under --summary.
 Exit codes: 0 success, 1 verification mismatch, 2 domain error, 3 resource
 or integrity error, 64 usage error, 65 certificate parse failure, 141 closed pipe.
 """
@@ -11,12 +13,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import gcd
 
 from .errors import DomainError, IntegrityError, ResourceError
-from .lens import THREE_SPHERE, LensSpace, SpecialCase, normalize
-from .numtheory import factor
-from .solver import R_BRANCH, _n2_from_root, _n3_from_partner, minimal_planar_boundaries, solve_n3
+from .lens import THREE_SPHERE, SpecialCase, normalize
+from .solver import minimal_planar_boundaries, table_rows
 from .witness import TRACE_FIELDS, _check_verify_budget, certificate_from_json, certificate_to_json, verify
 
 EXIT_OK = 0
@@ -72,50 +72,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _table_rows(p: int):
-    """(q, count, cert) for each L(p, q) in ascending q, each certificate
-    the one minimal_planar_boundaries gives, each built and verified once,
-    at its own row.
-
-    Count 2 iff q*a^2 ≡ ±1 (mod p) is solvable, i.e. iff q or p - q is a
-    unit square.  first maps each square of 1..p//2 to its least root; no
-    gcd is needed, as the square of a non-unit is a non-unit, never q or
-    p - q.  A row with q in first runs the solver with p factored once, and
-    its δ = +1 root comes at the first try.  A row where only p - q is in
-    first takes δ = -1 and a = first[-q^{-1} mod p]: the least root, which
-    is the one the solver finds, as the smallest root is at most p/2 (p - a
-    is one too).  Count-3 rows go straight to the n = 2 construction, and
-    one whose Bezout partner L(p, r), r = -q^{-1} mod p, comes later leaves
-    it its certificate, from which the partner builds its own at its turn.
-    """
-    fact = factor(p)
-    first = {a * a % p: a for a in range(p // 2, 0, -1)}
-    later = {}  # a later Bezout partner's q -> the certificate of the row it pairs with
-    for q in range(1, p):
-        if gcd(p, q) != 1:
-            continue
-        lens = tuple.__new__(LensSpace, (p, q))  # skips LensSpace's checks: 0 < q < p, gcd 1 above
-        if q in later:
-            yield q, 3, _n3_from_partner(lens, later.pop(q))
-        elif q in first:
-            count, cert = minimal_planar_boundaries(lens, fact=fact)
-            if count != 2:
-                raise IntegrityError(f"{lens}: {q} is a square mod {p}, but the solver says {count}")
-            yield q, 2, cert
-        elif p - q in first:
-            yield q, 2, _n2_from_root(lens, first[p - pow(q, -1, p)], -1)
-        else:
-            cert = solve_n3(lens)
-            # r = -q^{-1} mod p from the trace, without a modular inverse: an
-            # r-branch prime is r + k*p, and a q-branch witness is scaled by
-            # w = r (w = 1 when r = q, which has no partner)
-            t = cert.trace
-            r = t.q_prime - t.k * p if t.branch == R_BRANCH else t.w
-            if r > q:
-                later[r] = cert
-            yield q, 3, cert
-
-
 def cmd_table(args) -> int:
     if args.pmax < 2:
         raise DomainError(f"pmax must be >= 2, got {args.pmax}")
@@ -124,7 +80,7 @@ def cmd_table(args) -> int:
     write = sys.stdout.write  # one write per line
     for p in range(2, args.pmax + 1):
         count2 = count3 = 0
-        for q, count, cert in _table_rows(p):
+        for q, count, cert in table_rows(p):
             if count == 2:
                 count2 += 1
             else:

@@ -482,10 +482,10 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
 
     stop, when given, is called just before each split, so never for a
     prime m or one with no prime factor above TRIAL_BOUND.  It gets the
-    divisors of m found since its previous call: the small primes with
-    multiplicity (first call only), each piece tested, and last the
-    composite piece about to be split.  If it returns True, factor stops
-    and returns None.
+    proper divisors of m found since its previous call, so never m itself:
+    each distinct prime below TRIAL_BOUND (first call only), each piece
+    tested, and last the composite piece about to be split.  If it returns
+    True, factor stops and returns None.
     """
     if m < 1:
         raise DomainError(f"factor() needs m >= 1, got {m}")
@@ -501,11 +501,12 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
                 counts[p] = counts.get(p, 0) + 1
                 rem //= p
     budget = [FACTOR_EFFORT]
-    found = [p for p, e in counts.items() for _ in range(e)] if stop is not None else []
+    found = list(counts)  # the proper divisors found and not yet handed to stop
     stack = [(rem, 1)] if rem > 1 else []  # (piece, multiplicity)
     while stack:
         n, e = stack.pop()
-        found.append(n)
+        if n < m:
+            found.append(n)
         if is_prime(n):
             counts[n] = counts.get(n, 0) + e
             continue

@@ -8,11 +8,15 @@ by multiples of p until a prime q' ≡ 3 (mod 4) appears, take a square root
 z of ±p mod q' (exactly one sign is a residue), and turn z^{-1} into a
 binary quadratic form whose coefficients fill the witness.  Every witness
 is verified by exact determinant evaluation before it is returned.
+
+table_rows is the census of one p that `lenshf table` prints: every L(p, q)
+with its count and certificate, p factored once, each row's work done once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
 
 from .errors import IntegrityError, ResourceError
 from .lens import BezoutPair, LensSpace, bezout
@@ -76,9 +80,9 @@ def solve_n2(lens: LensSpace, *, fact: Factorization | None = None) -> Certifica
     Without fact, signs are ruled out first.  A square mod p is a square
     mod every divisor d of p, so a sign δ with jacobi(δ*q, d) = -1 for an
     odd d is out.  ruled_out takes one symbol j = jacobi(q, d) per odd d,
-    as jacobi(-q, d) = ±j by d mod 4: first for d = p, then for the
-    divisors factor(p) finds, before each split; once no sign is left,
-    factor stops and None is returned.
+    as jacobi(-q, d) = ±j by d mod 4: first for d = p, then for each
+    proper divisor factor(p) finds, before each split; once no sign is
+    left, factor stops and None is returned.
     """
     p, q = lens.p, lens.q
     signs = (1, -1)
@@ -199,3 +203,41 @@ def minimal_planar_boundaries(
         return 2, two
     return 3, solve_n3(lens)
 
+
+def table_rows(p: int):
+    """(q, count, cert) for each L(p, q) in ascending q, each certificate
+    the one minimal_planar_boundaries gives, built and verified once, at
+    its own row.
+
+    first maps each square of 1..p//2 to its least root, the root solve_n2
+    finds (p - a is a root too); the square of a non-unit is a non-unit, so
+    no gcd is needed.  A row where only p - q is in first takes δ = -1 and
+    a = first[-q^{-1} mod p].  A count-3 row whose Bezout partner comes
+    later leaves it its certificate.
+    """
+    fact = factor(p)
+    first = {a * a % p: a for a in range(p // 2, 0, -1)}
+    later = {}  # a later Bezout partner's q -> the certificate of the row it pairs with
+    for q in range(1, p):
+        if gcd(p, q) != 1:
+            continue
+        lens = tuple.__new__(LensSpace, (p, q))  # skips LensSpace's checks: 0 < q < p, gcd 1 above
+        if q in later:
+            yield q, 3, _n3_from_partner(lens, later.pop(q))
+        elif q in first:
+            count, cert = minimal_planar_boundaries(lens, fact=fact)
+            if count != 2:
+                raise IntegrityError(f"{lens}: {q} is a square mod {p}, but the solver says {count}")
+            yield q, 2, cert
+        elif p - q in first:
+            yield q, 2, _n2_from_root(lens, first[p - pow(q, -1, p)], -1)
+        else:
+            cert = solve_n3(lens)
+            # r = -q^{-1} mod p from the trace, without a modular inverse: an
+            # r-branch prime is r + k*p, and a q-branch witness is scaled by
+            # w = r (w = 1 when r = q, which has no partner)
+            t = cert.trace
+            r = t.q_prime - t.k * p if t.branch == R_BRANCH else t.w
+            if r > q:
+                later[r] = cert
+            yield q, 3, cert

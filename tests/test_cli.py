@@ -17,9 +17,9 @@ import lenshf.cli
 import lenshf.numtheory
 import lenshf.solver
 import lenshf.witness
-from lenshf.cli import _table_rows, main
+from lenshf.cli import main
 from lenshf.lens import LensSpace
-from lenshf.solver import Q_BRANCH, minimal_planar_boundaries, solve_n2, solve_n3
+from lenshf.solver import Q_BRANCH, minimal_planar_boundaries, solve_n2, solve_n3, table_rows
 from lenshf.witness import certificate_from_json, pad, verify
 from oracle import brute_is_prime, brute_least_roots, brute_qr
 
@@ -288,9 +288,8 @@ def test_table_rejects_small_pmax(capsys):
 
 def test_table_factors_each_p_once_and_verifies_each_row_once(capsys, count_calls):
     counter = {"factor": 0, "verify": 0}
-    for module in (lenshf.cli, lenshf.solver):
-        count_calls(module, "factor", counter)
-        count_calls(module, "verify", counter)
+    count_calls(lenshf.solver, "factor", counter)
+    count_calls(lenshf.solver, "verify", counter)
     code, out, _ = run_cli(capsys, "table", "30")
     assert code == 0
     rows = out.strip().splitlines()
@@ -349,8 +348,8 @@ def _record_solved(monkeypatch):
     """The list of spaces that table hands to either solver, filled as it runs."""
     solved = []
     for name in ("minimal_planar_boundaries", "solve_n3"):
-        fn = getattr(lenshf.cli, name)
-        monkeypatch.setattr(lenshf.cli, name,
+        fn = getattr(lenshf.solver, name)
+        monkeypatch.setattr(lenshf.solver, name,
                             lambda lens, fn=fn, **kwargs: solved.append(lens) or fn(lens, **kwargs))
     return solved
 
@@ -371,7 +370,7 @@ def test_table_solves_each_row_at_its_own_turn(monkeypatch):
 
 def test_table_count_two_row_the_solver_denies_exit_3(capsys, monkeypatch):
     # L(2,1) comes first, and 1 is a square mod 2
-    monkeypatch.setattr(lenshf.cli, "minimal_planar_boundaries",
+    monkeypatch.setattr(lenshf.solver, "minimal_planar_boundaries",
                         lambda lens, fact=None: (3, solve_n3(lens)))
     code, out, err = run_cli(capsys, "table", "5")
     assert code == 3 and out == ""
@@ -396,8 +395,9 @@ def test_each_answer_and_each_verify_evaluates_one_determinant(count_calls):
 def test_removed_search_flags_exit_64_before_any_work(capsys, count_calls):
     # the prime-search cap is a module constant, and primality takes no round count
     counter = {"factor": 0, "minimal_planar_boundaries": 0}
-    count_calls(lenshf.cli, "factor", counter)
-    count_calls(lenshf.cli, "minimal_planar_boundaries", counter)
+    count_calls(lenshf.solver, "factor", counter)
+    for module in (lenshf.cli, lenshf.solver):  # analyze calls cli's binding, table solver's
+        count_calls(module, "minimal_planar_boundaries", counter)
     for argv in (("analyze", "7", "3", "--cap", "5"), ("analyze", "7", "3", "--mr-rounds", "5"),
                  ("table", "10", "--cap", "5")):
         code, out, err = run_cli(capsys, *argv)
@@ -453,7 +453,7 @@ def test_table_row_certificates_equal_single_space_certificates_up_to_300():
     for p in range(2, 301):
         squares = brute_least_roots(p).keys()
         certs = {}
-        for q, count, cert in _table_rows(p):
+        for q, count, cert in table_rows(p):
             assert (count, cert) == minimal_planar_boundaries(LensSpace(p, q)), (p, q)
             certs[q] = cert
         for q, cert in certs.items():

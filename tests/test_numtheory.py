@@ -671,17 +671,24 @@ def test_factor_calls_stop_just_before_each_split():
     assert seen == []
     m = 2**3 * 3 * 10007 * 10009 * 10037
     assert factor(m, stop=stop).factors == ((2, 3), (3, 1), (10007, 1), (10009, 1), (10037, 1))
-    # the small primes with multiplicity, then the piece about to be split.
+    # each distinct small prime once, then the piece about to be split.
     # Pollard p-1 makes the first split: 10008 and 10036 are 1000-smooth, so
     # stage 1 finds g = 10009*10037 and leaves 10007, which is tested first
-    assert seen == [[2, 2, 2, 3, 10007 * 10009 * 10037], [10007, 10009 * 10037]]
+    assert seen == [[2, 3, 10007 * 10009 * 10037], [10007, 10009 * 10037]]
+    # m itself is never handed over: with no small prime, the first call
+    # comes empty.  ECM splits m into 10037 and 10009*10061 and tests the
+    # second first
+    seen.clear()
+    m = 10009 * 10037 * 10061
+    assert factor(m, stop=stop).factors == ((10009, 1), (10037, 1), (10061, 1))
+    assert seen == [[], [10009 * 10061]]
 
 
 def test_factor_returns_none_when_stop_fires_before_any_split(monkeypatch, count_calls):
     calls = count_calls(numtheory, "_ecm")
     monkeypatch.setattr(numtheory, "FACTOR_EFFORT", 10)  # too little to split m
     m = 1_000_003 * 1_000_033
-    assert factor(m, stop=lambda divisors: divisors == [m]) is None
+    assert factor(m, stop=lambda divisors: divisors == []) is None  # m has no proper divisor yet
     assert calls["_ecm"] == 0
 
 

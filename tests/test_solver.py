@@ -468,15 +468,15 @@ def test_solve_n2_stops_factoring_once_both_signs_are_ruled_out(count_calls):
 
 
 def test_solve_n2_takes_one_jacobi_symbol_per_odd_divisor_while_a_sign_is_left(count_calls):
-    # d = p first, then each divisor factor(p) finds; (-q|d) = ±(q|d) by d mod 4.
-    # factor passes p to stop as well, and then the divisors tested before
-    # each later split.  ECM splits p into 10037 and 10009*10061 and tests the
-    # second first; its split is the last, so stop never sees 10037 or the
-    # primes of 10009*10061: q = 13 (+1 mod every d) takes 3 symbols, p
-    # twice and 10009*10061
+    # d = p first, then each proper divisor factor(p) finds; (-q|d) = ±(q|d)
+    # by d mod 4.  factor hands stop nothing before its first split of p,
+    # and then the divisors tested before each later split.  ECM splits p
+    # into 10037 and 10009*10061 and tests the second first; its split is
+    # the last, so stop never sees 10037 or the primes of 10009*10061:
+    # q = 13 (+1 mod every d) takes 2 symbols, p and 10009*10061
     calls = count_calls(lenshf.solver, "jacobi")
     p = 10009 * 10037 * 10061
-    for n, q, symbols in ((p, 2, 3), (p, 13, 3), (5 * 13 * 10009 * 10169, 2, 2)):
+    for n, q, symbols in ((p, 2, 2), (p, 13, 2), (5 * 13 * 10009 * 10169, 2, 2)):
         calls["jacobi"] = 0
         solve_n2(LensSpace(n, q))
         assert calls["jacobi"] == symbols, (n, q)
