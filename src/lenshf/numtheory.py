@@ -1,8 +1,8 @@
 """Exact integer kernel: modular inverses, Jacobi symbols, primality,
 modular square roots and factoring (trial gcd, then Pollard p-1, Williams
 p+1 and Lenstra's elliptic curve method in turn on each composite piece,
-under one effort budget; p-1 and p+1 share one Lucas-sequence stage 2, and
-ECM's stage 2 walks the same k*D ± j grid on curve points).
+each piece of a split resuming where it stopped; p-1 and p+1 share one
+Lucas stage 2, and ECM's walks the same k*D ± j grid on curve points).
 
 Everything operates on plain Python integers (arbitrary precision) and no
 floating point is used anywhere.  All functions are pure and safe to call
@@ -328,35 +328,38 @@ def _lucas_stage2(w: int, n: int, budget: list[int], stage: str) -> int:
     return gcd(acc, n)
 
 
-def _pollard_pm1(n: int, budget: list[int]) -> int:
+def _pollard_pm1(n: int, budget: list[int], x: int | None = None) -> tuple[int, None, int | None]:
     """A divisor of odd n by Pollard p-1: 1 or n when it splits nothing.
 
-    Stage 1 takes gcd(x - 1, n), x = 2**E mod n; when that is 1, stage 2
-    runs on x + 1/x, so it finds P when P - 1 divides E times one prime
-    between 1000 and TRIAL_BOUND.  Each stage is charged before it runs.
+    Stage 1 takes gcd(x - 1, n), x = 2**E mod n unless the x of a multiple
+    of n is given; when that is 1, stage 2 runs on x + 1/x, so it finds P
+    when P - 1 divides E times a prime in (1000, TRIAL_BOUND).
     """
-    _charge(budget, _PM1_EXPONENT.bit_length(), "Pollard p-1 stage 1", n)
-    x = pow(2, _PM1_EXPONENT, n)
+    if x is None:
+        _charge(budget, _PM1_EXPONENT.bit_length(), "Pollard p-1 stage 1", n)
+        x = pow(2, _PM1_EXPONENT, n)
     g = gcd(x - 1, n)
     if g != 1:
-        return g
-    return _lucas_stage2((x + pow(x, -1, n)) % n, n, budget, "Pollard p-1 stage 2")
+        return g, None, x
+    return _lucas_stage2((x + pow(x, -1, n)) % n, n, budget, "Pollard p-1 stage 2"), None, None
 
 
-def _williams_pp1(n: int, budget: list[int]) -> int:
+def _williams_pp1(n: int, budget: list[int], v: int | None = None) -> tuple[int, None, int | None]:
     """A divisor of odd n by Williams p+1: 1 or n when it splits nothing.
 
     Stage 1 takes gcd(V_E(3) - 2, n), V_i(3) = x**i + x**-i for a root x
     of x*x - 3x + 1 (discriminant 5); x mod a prime P with (5|P) = -1 has
     an order dividing P + 1 (else P - 1).  Stage 2 runs on V_E(3).  Stage 1
     takes two products per bit of E, so it is charged two units per bit.
+    A given v, the V_E(3) of a multiple of n, resumes at stage 1's gcd.
     """
-    _charge(budget, 2 * _PM1_EXPONENT.bit_length(), "Williams p+1 stage 1", n)
-    v = _lucas_v(3, _PM1_EXPONENT, n)[0]
+    if v is None:
+        _charge(budget, 2 * _PM1_EXPONENT.bit_length(), "Williams p+1 stage 1", n)
+        v = _lucas_v(3, _PM1_EXPONENT, n)[0]
     g = gcd(v - 2, n)
     if g != 1:
-        return g
-    return _lucas_stage2(v, n, budget, "Williams p+1 stage 2")
+        return g, None, v
+    return _lucas_stage2(v % n, n, budget, "Williams p+1 stage 2"), None, None
 
 
 def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int) -> tuple[int, int]:
@@ -389,7 +392,7 @@ def _ladder(k: int, pt: tuple[int, int], a24: int, n: int) -> tuple[tuple[int, i
     return (x0, z0), (x1, z1)
 
 
-def _ecm(n: int, budget: list[int]) -> int:
+def _ecm(n: int, budget: list[int], start: tuple | None = None) -> tuple[int, tuple, tuple]:
     """A proper divisor of odd composite n by Lenstra's elliptic curve method.
 
     Curve sigma = 6, 7, ... is Suyama's Montgomery curve: with u = sigma**2
@@ -401,34 +404,44 @@ def _ecm(n: int, budget: list[int]) -> int:
     by E = _prime_power_product(B1) with one ladder, so a prime P of n
     divides Z when the point's order mod P divides E.  Stage 2
     (_ecm_stage2) then catches the P where it divides E times one prime in
-    (B1, B2].  A curve whose gcd is n is passed over.
+    (B1, B2].  A curve whose gcd is n is passed over.  start = (sigma,
+    curve) begins at curve sigma (default 6): at its set-up, or at stage 1's
+    gcd from curve = (its stage-1 point, (A + 2)/4) mod a multiple of n.
     """
-    sigma = 5
+    first, curve = start or (6, None)
+    end = 6  # the first curve after the steps so far
     for b1, b2, curves in _ECM_STEPS:
+        end += curves
+        if curves and first >= end:
+            continue  # no curve of this step runs
         e = _prime_power_product(b1)
         ks = range((b1 + _STAGE2_D // 2) // _STAGE2_D, (b2 + _STAGE2_D // 2) // _STAGE2_D + 1)
-        for _ in range(curves) if curves else count():
-            sigma += 1
-            u, v = sigma * sigma - 5, 4 * sigma
-            x, z = u ** 3 % n, v ** 3 % n
-            d = 16 * x * v % n  # the denominator of (A + 2)/4
-            try:
-                inv = pow(d * z, -1, n)  # one inverse for (A + 2)/4 and x/z
-            except ValueError:
-                g = gcd(d * z, n)
-                if g < n:
-                    return g
-                continue
-            a24 = (v - u) ** 3 * (3 * u + v) * z % n * inv % n
-            pt = x * d % n * inv % n, 1
-            _charge(budget, _ECM_STAGE1_UNITS * e.bit_length(), "ECM stage 1", n)
-            pt = _ladder(e, pt, a24, n)[0]
+        for sigma in range(first, end) if curves else count(first):
+            if not curve:
+                u, v = sigma * sigma - 5, 4 * sigma
+                x, z = u ** 3 % n, v ** 3 % n
+                d = 16 * x * v % n  # the denominator of (A + 2)/4
+                try:
+                    inv = pow(d * z, -1, n)  # one inverse for (A + 2)/4 and x/z
+                except ValueError:
+                    g = gcd(d * z, n)
+                    if g < n:
+                        return g, (sigma + 1, None), (sigma, None)
+                    continue
+                a24 = (v - u) ** 3 * (3 * u + v) * z % n * inv % n
+                pt = x * d % n * inv % n, 1
+                _charge(budget, _ECM_STAGE1_UNITS * e.bit_length(), "ECM stage 1", n)
+                curve = _ladder(e, pt, a24, n)[0], a24
+            (pt, a24), curve = curve, None
             g = gcd(pt[1], n)
+            if 1 < g < n:
+                return g, (sigma + 1, None), (sigma, (pt, a24))
             if g == 1:
                 _charge(budget, _ECM_STAGE2_UNITS * len(ks) * (len(_STAGE2_J) + 1), "ECM stage 2", n)
                 g = _ecm_stage2(pt, a24, n, ks)
-            if g != n and g != 1:
-                return g
+                if g != n and g != 1:
+                    return g, (sigma + 1, None), (sigma + 1, None)
+        first = end
 
 
 def _ecm_stage2(pt: tuple[int, int], a24: int, n: int, ks: range) -> int:
@@ -467,18 +480,16 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
     (_pollard_pm1), which finds the primes P with smooth P - 1; Williams p+1
     (_williams_pp1) from the seed 3, which finds the P with (5|P) = -1 and
     smooth P + 1; and Lenstra's elliptic curve method (_ecm), which finds
-    the P for which one of its curves has a smooth group order.  Both p-1
-    and p+1 take stage 1 to E = lcm(1..1000) and one shared stage 2 to the
-    primes below TRIAL_BOUND.  ECM runs curves with rising bounds
-    (_ECM_STEPS): B1 = 120, 350, 1000, 3000 and then 10^4 without end, and
-    B2 from 6000 to 10^6.  Every piece is tested once, by is_prime(piece),
-    and the result is built without testing it again.  All methods draw on
-    one budget of FACTOR_EFFORT units: p-1 stage 1 costs one per bit of E
-    (1,438), p+1 stage 1 two per bit (2,876), each of their stage 2s 1,075,
-    each ECM stage 1 eight per bit of its exponent (1,360 at B1 = 120) and
-    each ECM stage 2 two per product term and per giant step (1,450 at
-    B2 = 6000).  A stage that would overdraw the budget raises
-    ResourceError, naming the stage and the effort spent.
+    the P for which one of its curves has a smooth group order.  Each takes
+    a state to resume from (None: its start) and returns (g, state for g,
+    state for n // g), None meaning the next method; while nothing splits,
+    n goes on at g's state.  A stage that splits nothing of n splits nothing
+    of its divisors, so g starts at the next method or curve and n // g at
+    the stage after the one that split n (where n did, if it shares a prime
+    with g); a square's root starts where the square did.  So each split is
+    the one that starting at p-1 would make.  Stages draw on one budget of
+    FACTOR_EFFORT units, charged before they run; one that would overdraw
+    it raises ResourceError, naming the stage and the effort spent.
 
     stop, when given, is called just before each split, so never for a
     prime m or one with no prime factor above TRIAL_BOUND.  It gets the
@@ -502,9 +513,9 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
                 rem //= p
     budget = [FACTOR_EFFORT]
     found = list(counts)  # the proper divisors found and not yet handed to stop
-    stack = [(rem, 1)] if rem > 1 else []  # (piece, multiplicity)
+    stack = [(rem, 1, (0, None))] if rem > 1 else []  # (piece, multiplicity, start)
     while stack:
-        n, e = stack.pop()
+        n, e, start = stack.pop()
         if n < m:
             found.append(n)
         if is_prime(n):
@@ -516,14 +527,16 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
             found = []
         g = isqrt(n)
         if g * g == n:
-            stack.append((g, 2 * e))
+            stack.append((g, 2 * e, start))
             continue
-        for split in (_pollard_pm1, _williams_pp1, _ecm):
-            g = split(n, budget)
+        k, state = start  # the method to begin with and the state within it
+        while True:
+            g, *resume = (_pollard_pm1, _williams_pp1, _ecm)[k](n, budget, state)
+            (k, state), n_start = [(k, s) if s is not None else (k + 1, None) for s in resume]
             if 1 < g < n:
                 break
-        stack.append((g, e))
-        stack.append((n // g, e))
+        stack.append((g, e, (k, state)))
+        stack.append((n // g, e, n_start if gcd(g, n // g) == 1 else start))
     # tuple.__new__ skips Factorization's checks: each prime was tested above
     return tuple.__new__(Factorization, (m, tuple(sorted(counts.items()))))
 

@@ -13,7 +13,7 @@ import tracemalloc
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from lenshf import numtheory
@@ -646,6 +646,67 @@ def test_factor_splits_a_square_piece_by_isqrt_alone(count_calls):
         assert factor(m).factors == expected
         assert calls["is_prime"] == 2, m
     assert calls["_pollard_pm1"] == 0
+
+
+def _record_stages(monkeypatch):
+    """The (stage, piece) of each charge factor makes from now on."""
+    stages, charge = [], numtheory._charge
+
+    def record(budget, units, stage, n):
+        stages.append((stage, n))
+        charge(budget, units, stage, n)
+
+    monkeypatch.setattr(numtheory, "_charge", record)
+    return stages
+
+
+def test_factor_resumes_each_piece_where_its_parent_split_stopped(monkeypatch):
+    # p-1 and p+1 stage 1 take m whole, and ECM's first curve splits off
+    # 10037 at stage 1.  The cofactor 10009*10061 resumes that curve at
+    # stage 2, which splits nothing, and the next curve splits it at stage 1;
+    # no p-1 or p+1 stage and no curve's stage 1 runs on it again
+    stages = _record_stages(monkeypatch)
+    m, n = 10009 * 10037 * 10061, 10009 * 10061
+    assert factor(m).factors == ((10009, 1), (10037, 1), (10061, 1))
+    assert stages == [("Pollard p-1 stage 1", m), ("Williams p+1 stage 1", m), ("ECM stage 1", m),
+                      ("ECM stage 2", n), ("ECM stage 1", n)]
+
+
+def test_factor_restarts_a_cofactor_that_shares_a_prime_with_the_divisor(monkeypatch):
+    # p-1 stage 2 splits off g = 61781 from m = 47837² * 61781² * 126592283,
+    # so the cofactor holds 61781 too: that stage may split it again, and
+    # does, so the cofactor starts over at p-1 as m did
+    stages = _record_stages(monkeypatch)
+    P, Q, R = 47837, 61781, 126592283
+    m = P**2 * Q**2 * R
+    assert factor(m).factors == ((P, 2), (Q, 2), (R, 1))
+    assert stages == [("Pollard p-1 stage 1", m), ("Pollard p-1 stage 2", m),
+                      ("Pollard p-1 stage 1", m // Q), ("Pollard p-1 stage 2", m // Q),
+                      ("Williams p+1 stage 1", m // Q**2)]
+
+
+def test_factor_splits_three_50_bit_primes_within_factor_effort():
+    # when every piece started again at p-1 and ECM's first curve, ECM stage 2
+    # on the cofactor of the first split ran out of FACTOR_EFFORT after
+    # 3,965,620 units
+    P, Q, R = 753323672289581, 910811105625977, 969464677542917
+    assert factor(P * Q * R).factors == ((P, 1), (Q, 1), (R, 1))
+
+
+# Four distinct primes of 14-30 bits: a split can leave two composite pieces,
+# each resuming where it stopped.
+@seed(20261021)
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.lists(_start_of_bits(14, 30), min_size=4, max_size=4))
+def test_factor_agrees_with_sympy_on_products_of_four_14_to_30_bit_primes(starts):
+    sympy = pytest.importorskip("sympy")
+    primes = {sympy.nextprime(x) for x in starts}
+    assume(len(primes) == 4)
+    m = prod(primes)
+    expected = tuple((p, 1) for p in sorted(primes))
+    assert dict(expected) == sympy.factorint(m)
+    assert factor(m).factors == expected
+    assert factor(m, stop=lambda divisors: False).factors == expected
 
 
 # --- factor's stop callback ---------------------------------------------------
