@@ -38,7 +38,7 @@ def construct_representing_form(n: int, D: int, z0: int) -> QuadForm:
     num = D + z0 * z0
     if num % n != 0:
         raise DomainError(f"{n} does not divide D + z0^2 = {num}")
-    return QuadForm(n, z0, num // n)
+    return tuple.__new__(QuadForm, (n, z0, num // n))  # no checking __new__ to skip
 
 
 def solvable_congruence(n: int, D: int) -> int | None:

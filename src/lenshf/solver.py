@@ -48,8 +48,9 @@ def find_prime_shift(lens: LensSpace, pair: BezoutPair) -> PrimeShift:
     """
     p, q = lens.p, lens.q
     s, r = pair.s, pair.r
+    branches = ((Q_BRANCH, q, r), (R_BRANCH, r, q))
     for k in range(PRIME_SHIFT_CAP):
-        for branch, base, step in ((Q_BRANCH, q, r), (R_BRANCH, r, q)):
+        for branch, base, step in branches:
             cand = base + k * p
             if cand % 4 == 3 and is_prime(cand):
                 return PrimeShift(branch, k, cand, s + k * step)
@@ -67,7 +68,7 @@ def _certified(
     cert = verify(lens, w)
     if cert.det != want:
         raise IntegrityError(f"witness for {lens} has det {cert.det}, wanted {want}; trace: {trace}")
-    return cert if trace is None else Certificate(lens, w, want, True, trace)
+    return cert if trace is None else tuple.__new__(Certificate, (lens, w, want, True, trace))
 
 
 def solve_n2(lens: LensSpace, *, fact: Factorization | None = None) -> Certificate | None:
@@ -161,9 +162,9 @@ def _n3_certificate(
         D = eps_prime * shift.s_prime
         n_form = -eps_prime * qp
     f0 = construct_representing_form(n_form, D, z0)
-    trace = ConstructionTrace(
+    trace = tuple.__new__(ConstructionTrace, (
         shift.branch, shift.k, qp, shift.s_prime, eps, z, z_inv, eps_prime, D, n_form, z0, f0.C, w_scale
-    )
+    ))
     return _certified(lens, Witness.pair(w_scale, 0, f0.C, n_form, -z0), eps_prime, trace)
 
 

@@ -98,10 +98,12 @@ class Certificate(namedtuple("Certificate", "lens witness det valid trace", defa
 
 def assemble_matrix(lens: LensSpace, w: Witness) -> list[list[int]]:
     """The bordered (n+1) x (n+1) matrix of a witness."""
-    rows = [[lens.p, *(-lens.q * aj for aj in w.a)]]
-    for i, (ai, ti, li) in enumerate(zip(w.a, w.t, w.l), 1):
-        row = [ai, *li]
-        row[i] = ti
+    p, q = lens
+    a, t, l = w
+    rows = [[p, *[-q * aj for aj in a]]]
+    for i in range(len(a)):
+        row = [a[i], *l[i]]
+        row[i + 1] = t[i]
         rows.append(row)
     return rows
 
@@ -133,18 +135,23 @@ def _det_bareiss(m: list[list[int]]) -> int:
 
 def det_exact(m: list[list[int]]) -> int:
     """Exact determinant of a non-empty square integer matrix, else
-    DomainError: explicit formulas through size 3, Bareiss above."""
+    DomainError: explicit formulas through size 3, whose unpacking checks
+    the shape, and Bareiss above, behind a check of every row's length."""
     size = len(m)
-    if {*map(len, m)} != {size}:
+    try:
+        if size == 1:
+            ((a,),) = m
+            return a
+        if size == 2:
+            (a, b), (c, d) = m
+            return a * d - b * c
+        if size == 3:
+            (a, b, c), (d, e, f), (g, h, i) = m
+            return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    except ValueError:  # a row of another length than size
+        raise DomainError("matrix must be square and non-empty") from None
+    if {*map(len, m)} != {size}:  # also catches size 0
         raise DomainError("matrix must be square and non-empty")
-    if size == 1:
-        return m[0][0]
-    if size == 2:
-        (a, b), (c, d) = m
-        return a * d - b * c
-    if size == 3:
-        (a, b, c), (d, e, f), (g, h, i) = m
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     return _det_bareiss(m)
 
 
@@ -181,7 +188,7 @@ def verify(lens: LensSpace, w: Witness) -> Certificate:
     simply comes back with valid=False.
     """
     det = det_exact(assemble_matrix(lens, w))
-    return Certificate(lens, w, det, det in (1, -1))
+    return tuple.__new__(Certificate, (lens, w, det, det in (1, -1), None))  # no checking __new__ to skip
 
 
 def pad(w: Witness) -> Witness:

@@ -18,6 +18,7 @@ import lenshf.solver
 from lenshf.errors import DomainError, IntegrityError, ResourceError
 from lenshf.lens import BezoutPair, LensSpace, bezout
 from lenshf.numtheory import factor, is_prime, jacobi, mod_inv
+from lenshf.quadform import QuadForm, construct_representing_form
 from lenshf.solver import (
     ConstructionTrace,
     PrimeShift,
@@ -26,7 +27,7 @@ from lenshf.solver import (
     solve_n2,
     solve_n3,
 )
-from lenshf.witness import Witness, certificate_to_json, verify
+from lenshf.witness import Certificate, Witness, certificate_to_json, verify
 from oracle import brute_n2, brute_qr
 
 
@@ -282,6 +283,33 @@ def test_certificate_det_is_the_recomputed_determinant():
             count, cert = minimal_planar_boundaries(lens)
             assert cert == verify(lens, cert.witness)._replace(trace=cert.trace), (p, q)
             assert minimal_planar_boundaries(lens, fact=fact) == (count, cert), (p, q)
+
+
+def test_certificates_traces_and_forms_are_their_record_types():
+    # tuple equality ignores the class, so the equality tests above would
+    # pass on plain tuples; pin the records' classes and their namedtuple API
+    def check(cert, lens):
+        assert type(cert) is Certificate and cert.lens == lens, lens
+        assert type(cert.witness) is Witness, lens
+        t = cert.trace
+        if t is not None:
+            assert type(t) is ConstructionTrace and t.C0 == cert.witness.t[0], lens
+            assert type(t._replace(k=0)) is ConstructionTrace
+            f = construct_representing_form(t.n_form, t.D, t.z0)
+            assert type(f) is QuadForm and (f.A, f.B, f.C) == (t.n_form, t.z0, t.C0), lens
+            assert f._replace(B=0) == (t.n_form, 0, t.C0) and type(f._replace(B=0)) is QuadForm
+            assert f.determinant() == t.D
+
+    for p in range(2, 61):
+        for q, count, cert in lenshf.solver.table_rows(p):
+            lens = LensSpace(p, q)
+            check(cert, lens)
+            assert (cert.trace is None) == (count == 2), lens
+            check(minimal_planar_boundaries(lens)[1], lens)
+            plain = verify(lens, cert.witness)
+            check(plain, lens)
+            assert plain.trace is None and plain._replace(det=0).det == 0
+            assert type(plain._replace(det=0)) is Certificate
 
 
 def test_solvers_reject_a_witness_of_the_wrong_sign(monkeypatch):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -152,6 +152,20 @@ def test_det_exact_agrees_with_leibniz():
         expect = _det_leibniz(m)
         assert det_exact(m) == expect, m
         assert _det_bareiss(m) == expect, m
+
+
+def test_det_exact_raises_exactly_on_a_row_of_another_length():
+    # sizes 1-3 check the shape by unpacking, larger ones before Bareiss:
+    # every mix of row lengths 0..size+1, each raising iff a row is off size
+    rng = random.Random(43)
+    for size in range(6):
+        for lengths in product(range(size + 2), repeat=size):
+            m = [[rng.randint(-5, 5) for _ in range(length)] for length in lengths]
+            if size == 0 or any(length != size for length in lengths):
+                with pytest.raises(DomainError, match="^matrix must be square and non-empty$"):
+                    det_exact(m)
+            else:
+                assert det_exact(m) == _det_leibniz(m), m
 
 
 def test_det_exact_handles_zero_pivots():
