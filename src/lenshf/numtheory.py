@@ -1,8 +1,8 @@
 """Exact integer kernel: modular inverses, Jacobi symbols, primality,
-modular square roots and factoring (trial gcd, then Pollard p-1, Williams
-p+1 and Lenstra's elliptic curve method in turn on each composite piece,
-each piece of a split resuming where it stopped; p-1 and p+1 share one
-Lucas stage 2, and ECM's walks the same k*D ± j grid on curve points).
+modular square roots and factoring (trial gcd, then Pollard p-1 and
+Lenstra's elliptic curve method in turn on each composite piece, each
+piece of a split resuming where it stopped; p-1's Lucas stage 2 and ECM's
+walk the same k*D ± j grid, on integers and on curve points).
 
 Everything operates on plain Python integers (arbitrary precision) and no
 floating point is used anywhere.  All functions are pure and safe to call
@@ -61,11 +61,11 @@ def _prime_power_product(bound: int) -> int:
     return e
 
 
-# Pollard p-1 and Williams p+1 share the 1,438-bit stage-1 exponent
-# E = lcm(1..1000) (bounds of 600-2000 measured alike for p-1, 300 worse) and
-# one stage 2 (_lucas_stage2), which reaches each prime in (1000, TRIAL_BOUND)
-# as k*D ± j with D = 210, j < D/2 prime to D and k from 5 (5*D - 103 = 947)
-# to 47 (47*D + 103 = 9973); it costs a unit per product term and per k.
+# Pollard p-1's stage 1 takes the 1,438-bit exponent E = lcm(1..1000)
+# (bounds of 600-2000 measured alike, 300 worse), and its stage 2
+# (_lucas_stage2) reaches each prime in (1000, TRIAL_BOUND) as k*D ± j with
+# D = 210, j < D/2 prime to D and k from 5 (5*D - 103 = 947) to 47
+# (47*D + 103 = 9973); it costs a unit per product term and per k.
 _PM1_EXPONENT = _prime_power_product(1000)
 _STAGE2_D = 210
 _STAGE2_J = tuple(j for j in range(1, _STAGE2_D // 2, 2) if gcd(j, _STAGE2_D) == 1)
@@ -303,14 +303,14 @@ def _charge(budget: list[int], units: int, stage: str, n: int) -> None:
     budget[0] -= units
 
 
-def _lucas_stage2(w: int, n: int, budget: list[int], stage: str) -> int:
+def _lucas_stage2(w: int, n: int, budget: list[int]) -> int:
     """gcd(n, product of V_kD - V_j over k in _STAGE2_K, j in _STAGE2_J).
 
     With w = x + 1/x and V_i = x**i + x**-i, V_kD - V_j =
     x**-kD * (x**kD - x**j) * (x**kD - x**-j), so a prime P of n divides
     the product when the order of x mod P divides k*D - j or k*D + j.
     """
-    _charge(budget, len(_STAGE2_K) * (len(_STAGE2_J) + 1), stage, n)
+    _charge(budget, len(_STAGE2_K) * (len(_STAGE2_J) + 1), "Pollard p-1 stage 2", n)
     w2 = (w * w - 2) % n
     baby = []
     prev = cur = w  # V_-1 = V_1, then V_(j+2) = V_j*V_2 - V_(j-2)
@@ -341,25 +341,7 @@ def _pollard_pm1(n: int, budget: list[int], x: int | None = None) -> tuple[int, 
     g = gcd(x - 1, n)
     if g != 1:
         return g, None, x
-    return _lucas_stage2((x + pow(x, -1, n)) % n, n, budget, "Pollard p-1 stage 2"), None, None
-
-
-def _williams_pp1(n: int, budget: list[int], v: int | None = None) -> tuple[int, None, int | None]:
-    """A divisor of odd n by Williams p+1: 1 or n when it splits nothing.
-
-    Stage 1 takes gcd(V_E(3) - 2, n), V_i(3) = x**i + x**-i for a root x
-    of x*x - 3x + 1 (discriminant 5); x mod a prime P with (5|P) = -1 has
-    an order dividing P + 1 (else P - 1).  Stage 2 runs on V_E(3).  Stage 1
-    takes two products per bit of E, so it is charged two units per bit.
-    A given v, the V_E(3) of a multiple of n, resumes at stage 1's gcd.
-    """
-    if v is None:
-        _charge(budget, 2 * _PM1_EXPONENT.bit_length(), "Williams p+1 stage 1", n)
-        v = _lucas_v(3, _PM1_EXPONENT, n)[0]
-    g = gcd(v - 2, n)
-    if g != 1:
-        return g, None, v
-    return _lucas_stage2(v % n, n, budget, "Williams p+1 stage 2"), None, None
+    return _lucas_stage2((x + pow(x, -1, n)) % n, n, budget), None, None
 
 
 def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int) -> tuple[int, int]:
@@ -476,16 +458,15 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
     One gcd with the product of the primes below TRIAL_BOUND names the
     small primes, which are divided out.  A composite piece left that is a
     square r*r is pushed once as r with twice its multiplicity; any other
-    splits by the first of three methods that splits it: Pollard p-1
-    (_pollard_pm1), which finds the primes P with smooth P - 1; Williams p+1
-    (_williams_pp1) from the seed 3, which finds the P with (5|P) = -1 and
-    smooth P + 1; and Lenstra's elliptic curve method (_ecm), which finds
-    the P for which one of its curves has a smooth group order.  Each takes
-    a state to resume from (None: its start) and returns (g, state for g,
-    state for n // g), None meaning the next method; while nothing splits,
-    n goes on at g's state.  A stage that splits nothing of n splits nothing
-    of its divisors, so g starts at the next method or curve and n // g at
-    the stage after the one that split n (where n did, if it shares a prime
+    splits by the first of two methods that splits it: Pollard p-1
+    (_pollard_pm1), which finds the primes P with smooth P - 1, and
+    Lenstra's elliptic curve method (_ecm), which finds the P for which one
+    of its curves has a smooth group order.  Each takes a state to resume
+    from (None: its start) and returns (g, state for g, state for n // g),
+    None meaning the next method; while nothing splits, n goes on at g's
+    state.  A stage that splits nothing of n splits nothing of its
+    divisors, so g starts at the next method or curve and n // g at the
+    stage after the one that split n (where n did, if it shares a prime
     with g); a square's root starts where the square did.  So each split is
     the one that starting at p-1 would make.  Stages draw on one budget of
     FACTOR_EFFORT units, charged before they run; one that would overdraw
@@ -531,7 +512,7 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
             continue
         k, state = start  # the method to begin with and the state within it
         while True:
-            g, *resume = (_pollard_pm1, _williams_pp1, _ecm)[k](n, budget, state)
+            g, *resume = (_pollard_pm1, _ecm)[k](n, budget, state)
             (k, state), n_start = [(k, s) if s is not None else (k + 1, None) for s in resume]
             if 1 < g < n:
                 break

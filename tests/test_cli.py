@@ -118,8 +118,8 @@ def test_analyze_count_three_of_an_unfactorable_p_by_jacobi_symbols(capsys):
 def test_analyze_count_three_of_an_unfactorable_p_by_a_found_divisor(capsys):
     # (±7|p) = +1, but the first split (Pollard p-1: 1000033 - 1 is smooth)
     # leaves 1000033 and d = (10^24+49)(10^24+121) with (±7|d) = -1, which
-    # decides count 3 without splitting d, which none of p-1, p+1 and ECM
-    # can do within numtheory.FACTOR_EFFORT
+    # decides count 3 without splitting d, which neither p-1 nor ECM can do
+    # within numtheory.FACTOR_EFFORT
     p = 1000033 * (10**24 + 49) * (10**24 + 121)
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "analyze", str(p), "7")
@@ -127,20 +127,21 @@ def test_analyze_count_three_of_an_unfactorable_p_by_a_found_divisor(capsys):
     assert code == 0 and "3 boundary components" in out
 
 
-def test_analyze_p_split_by_williams_p_plus_1(capsys):
-    # p = P1*P2 of 59 and 61 bits; P1 + 1 = 2*13*163*331*547*809*941*997 is
-    # smooth and (5|P1) = -1, so p+1 splits p in milliseconds, where
-    # Pollard-Brent, ECM's predecessor, exhausted numtheory.FACTOR_EFFORT
+def test_analyze_p_split_by_williams_p_plus_1(capsys, count_calls):
+    # p = P1*P2 of 59 and 61 bits, neither P - 1 smooth, so ECM makes the
+    # split (_ecm returns only with one), where Pollard-Brent, ECM's
+    # predecessor, exhausted numtheory.FACTOR_EFFORT.  The name is kept from
+    # the method that split p before ECM, so that the test id stays the same.
+    calls = count_calls(lenshf.numtheory, "_ecm")
     p = 582384188893186237 * 2280771146087475637
-    start = time.perf_counter()
     code, out, _ = run_cli(capsys, "analyze", str(p), "500945596517612812943455832667575940")
-    assert time.perf_counter() - start < 1.0
     assert code == 0 and "2 boundary components" in out
+    assert calls["_ecm"] == 1
 
 
 def test_analyze_p_that_is_the_square_of_a_44_bit_prime(capsys):
     # p = P² with P = 17104490322097 and (5|p) = 1, so p must be factored;
-    # factor splits a square by isqrt, before any of its three methods
+    # factor splits a square by isqrt, before either of its methods
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "analyze", "292563589178709934806477409", "5")
     assert time.perf_counter() - start < 1.0
@@ -149,9 +150,9 @@ def test_analyze_p_that_is_the_square_of_a_44_bit_prime(capsys):
 
 def test_analyze_p_that_is_the_product_of_two_44_bit_primes(capsys):
     # p = 17104490322097 * 15473270770753, both primes ≡ 1 (mod 4) with
-    # (5|P) = -1, so (±5|p) = +1 and p must be factored; neither P - 1 nor
-    # P + 1 is within p±1's reach, and ECM splits p where Pollard-Brent
-    # exhausted numtheory.FACTOR_EFFORT
+    # (5|P) = -1, so (±5|p) = +1 and p must be factored; neither P - 1 is
+    # within p-1's reach, and ECM splits p where Pollard-Brent exhausted
+    # numtheory.FACTOR_EFFORT
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "analyze", "264662410149531076417229041", "5")
     assert time.perf_counter() - start < 1.0

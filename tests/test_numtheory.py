@@ -499,18 +499,16 @@ def test_factor_effort_cap(monkeypatch):
 
 
 def test_factor_effort_error_names_the_stage_and_the_effort_spent(monkeypatch):
-    # neither prime P of m has a smooth P - 1 or P + 1, so p-1 (1,438 + 1,075
-    # units) and p+1 (2,876 + 1,075) split nothing and ECM runs out; its
-    # first curve (B1 = 120, B2 = 6000) costs 8 units for each of the 170
-    # bits of its stage-1 exponent, then 2 * 29 * (24 + 1) for stage 2
+    # neither prime P of m has a smooth P - 1, so p-1 (1,438 + 1,075 units)
+    # splits nothing and ECM runs out; its first curve (B1 = 120, B2 = 6000)
+    # costs 8 units for each of the 170 bits of its stage-1 exponent, then
+    # 2 * 29 * (24 + 1) for stage 2
     m = (10**24 + 7) * (10**24 + 49)
     for cap, stage, spent, needed in (
         (1000, "Pollard p-1 stage 1", 0, 1438),
         (2000, "Pollard p-1 stage 2", 1438, 1075),
-        (4000, "Williams p+1 stage 1", 2513, 2876),
-        (6000, "Williams p+1 stage 2", 5389, 1075),
-        (7000, "ECM stage 1", 6464, 1360),
-        (9000, "ECM stage 2", 7824, 1450),
+        (3000, "ECM stage 1", 2513, 1360),
+        (5000, "ECM stage 2", 3873, 1450),
     ):
         monkeypatch.setattr(numtheory, "FACTOR_EFFORT", cap)
         with pytest.raises(ResourceError, match=(
@@ -520,7 +518,7 @@ def test_factor_effort_error_names_the_stage_and_the_effort_spent(monkeypatch):
             factor(m)
 
 
-# --- Pollard p-1 and Williams p+1 ----------------------------------------------
+# --- Pollard p-1 and ECM ------------------------------------------------------
 
 def test_pm1_stage_1_exponent_is_lcm_1_to_1000():
     assert numtheory._PM1_EXPONENT == lcm(*range(1, 1001))
@@ -572,8 +570,8 @@ def _start_of_bits(lo, hi):
     return st.integers(lo, hi).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
 
 
-# One prime of 14-40 bits and one or two of 14-32: whichever p-1 and p+1 leave
-# whole, ECM splits in milliseconds.
+# One prime of 14-40 bits and one or two of 14-32: whichever p-1 leaves whole,
+# ECM splits in milliseconds.
 @seed(20261019)
 @settings(max_examples=25, deadline=None, database=None)
 @given(_start_of_bits(14, 40), st.lists(_start_of_bits(14, 32), min_size=1, max_size=2))
@@ -603,8 +601,8 @@ def test_factor_agrees_with_sympy_on_products_of_two_36_to_44_bit_primes(x, y):
     (1000033 * (10**24 + 49), ((1000033, 1), (10**24 + 49, 1)), 0),
     # 10079 - 1 = 2 * 5039: only stage 2 tries the prime 5039
     (10079 * (10**24 + 7), ((10079, 1), (10**24 + 7, 1)), 0),
-    # P - 1 is 1000-smooth for all three, so stage 1 gives g = m; p+1 splits
-    # nothing either, and ECM splits each piece that p-1 catches whole
+    # P - 1 is 1000-smooth for all three, so stage 1 gives g = m, and ECM
+    # splits each piece that p-1 catches whole
     (10009 * 10037 * 10061, ((10009, 1), (10037, 1), (10061, 1)), 2),
 ])
 def test_factor_splits_with_pm1_before_pollard_brent(count_calls, m, expected, ecm_calls):
@@ -613,28 +611,20 @@ def test_factor_splits_with_pm1_before_pollard_brent(count_calls, m, expected, e
     assert calls["_ecm"] == ecm_calls
 
 
-@pytest.mark.parametrize("m, ecm_calls, stage2_calls", [
-    # P + 1 = 2*13*163*331*547*809*941*997 divides the stage-1 exponent and
-    # (5|P) = -1, while P - 1 = 2^2*3*563*86202514637831: p+1 stage 1 splits
-    (582384188893186237 * 2280771146087475637, 0, 1),
-    # P + 1 = 2^2*3*7^2*11*13*17*19*23*9973, (5|P) = -1 and P - 1 =
-    # 2*151*82759*249257: only p+1 stage 2 tries 9973, the last prime it visits
-    (6229734539027 * (10**24 + 7), 0, 2),
-    # P ≡ ±1 (mod 5), so (5|P) = +1 for both primes and p+1 works in the
-    # group of P - 1, which has the primes 12497 and 442963: ECM splits
-    (268435561 * 268435579, 1, 2),
+# Each P - 1 here has a prime above TRIAL_BOUND, so p-1 splits nothing and
+# ECM makes the split.
+@pytest.mark.parametrize("m", [
+    582384188893186237 * 2280771146087475637,
+    6229734539027 * (10**24 + 7),
+    268435561 * 268435579,
 ])
-def test_factor_splits_with_pp1_before_pollard_brent(count_calls, m, ecm_calls, stage2_calls):
+def test_factor_agrees_with_sympy_on_semiprimes_that_ecm_splits(m):
     sympy = pytest.importorskip("sympy")
-    calls = {}
-    for name in ("_williams_pp1", "_lucas_stage2", "_ecm"):
-        count_calls(numtheory, name, calls)
     assert dict(factor(m).factors) == sympy.factorint(m)
-    assert calls == {"_williams_pp1": 1, "_lucas_stage2": stage2_calls, "_ecm": ecm_calls}
 
 
 def test_factor_splits_a_square_piece_by_isqrt_alone(count_calls):
-    # isqrt splits any P² at once, before any of the three methods, and
+    # isqrt splits any P² at once, before either method, and
     # pushes P once with multiplicity 2, so is_prime certifies it once: two
     # calls per m, the square and then its root
     calls = {}
@@ -661,28 +651,31 @@ def _record_stages(monkeypatch):
 
 
 def test_factor_resumes_each_piece_where_its_parent_split_stopped(monkeypatch):
-    # p-1 and p+1 stage 1 take m whole, and ECM's first curve splits off
-    # 10037 at stage 1.  The cofactor 10009*10061 resumes that curve at
-    # stage 2, which splits nothing, and the next curve splits it at stage 1;
-    # no p-1 or p+1 stage and no curve's stage 1 runs on it again
+    # p-1 stage 1 takes m whole, and ECM's first curve splits off 10037 at
+    # stage 1.  The cofactor 10009*10061 resumes that curve at stage 2,
+    # which splits nothing, and the next curve splits it at stage 1; no p-1
+    # stage and no curve's stage 1 runs on it again
     stages = _record_stages(monkeypatch)
     m, n = 10009 * 10037 * 10061, 10009 * 10061
     assert factor(m).factors == ((10009, 1), (10037, 1), (10061, 1))
-    assert stages == [("Pollard p-1 stage 1", m), ("Williams p+1 stage 1", m), ("ECM stage 1", m),
-                      ("ECM stage 2", n), ("ECM stage 1", n)]
+    assert stages == [("Pollard p-1 stage 1", m), ("ECM stage 1", m), ("ECM stage 2", n),
+                      ("ECM stage 1", n)]
 
 
 def test_factor_restarts_a_cofactor_that_shares_a_prime_with_the_divisor(monkeypatch):
     # p-1 stage 2 splits off g = 61781 from m = 47837² * 61781² * 126592283,
     # so the cofactor holds 61781 too: that stage may split it again, and
-    # does, so the cofactor starts over at p-1 as m did
+    # does, so the cofactor starts over at p-1 as m did.  Likewise ECM stage 2
+    # splits off 47837 from 47837² * 126592283, and the cofactor starts over
+    # at the first curve's stage 1
     stages = _record_stages(monkeypatch)
     P, Q, R = 47837, 61781, 126592283
     m = P**2 * Q**2 * R
     assert factor(m).factors == ((P, 2), (Q, 2), (R, 1))
     assert stages == [("Pollard p-1 stage 1", m), ("Pollard p-1 stage 2", m),
                       ("Pollard p-1 stage 1", m // Q), ("Pollard p-1 stage 2", m // Q),
-                      ("Williams p+1 stage 1", m // Q**2)]
+                      ("ECM stage 1", m // Q**2), ("ECM stage 2", m // Q**2),
+                      ("ECM stage 1", P * R), ("ECM stage 2", P * R)]
 
 
 def test_factor_splits_three_50_bit_primes_within_factor_effort():
