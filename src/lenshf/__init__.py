@@ -42,7 +42,7 @@ from .witness import (
     verify,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "BezoutPair",

@@ -1,8 +1,9 @@
 """Exact integer kernel: modular inverses, Jacobi symbols, primality,
-modular square roots and factoring (trial gcd, then Pollard p-1 and
-Lenstra's elliptic curve method in turn on each composite piece, each
-piece of a split resuming where it stopped; p-1's Lucas stage 2 and ECM's
-walk the same k*D ± j grid, on integers and on curve points).
+modular square roots and factoring (trial gcd, then Pollard p-1 on the
+first composite piece and, from its stage-1 value, on the cofactor of each
+stage-1 split, and Lenstra's elliptic curve method on the rest, its curves
+one sequence per call; p-1's Lucas stage 2 and ECM's walk the same
+k*D ± j grid, on integers and on curve points).
 
 Everything operates on plain Python integers (arbitrary precision) and no
 floating point is used anywhere.  All functions are pure and safe to call
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from itertools import count
 from math import gcd, isqrt, prod
 
@@ -328,20 +329,22 @@ def _lucas_stage2(w: int, n: int, budget: list[int]) -> int:
     return gcd(acc, n)
 
 
-def _pollard_pm1(n: int, budget: list[int], x: int | None = None) -> tuple[int, None, int | None]:
-    """A divisor of odd n by Pollard p-1: 1 or n when it splits nothing.
+def _pollard_pm1(n: int, budget: list[int], x: int | None = None) -> tuple[int, int | None]:
+    """(g, x for n // g or None): g a divisor of odd n by Pollard p-1, 1 or n
+    when it splits nothing.
 
     Stage 1 takes gcd(x - 1, n), x = 2**E mod n unless the x of a multiple
     of n is given; when that is 1, stage 2 runs on x + 1/x, so it finds P
-    when P - 1 divides E times a prime in (1000, TRIAL_BOUND).
+    when P - 1 divides E times a prime in (1000, TRIAL_BOUND).  A split at
+    stage 1 hands x on, so that n // g resumes at stage 1's gcd.
     """
     if x is None:
         _charge(budget, _PM1_EXPONENT.bit_length(), "Pollard p-1 stage 1", n)
         x = pow(2, _PM1_EXPONENT, n)
     g = gcd(x - 1, n)
     if g != 1:
-        return g, None, x
-    return _lucas_stage2((x + pow(x, -1, n)) % n, n, budget), None, None
+        return g, x
+    return _lucas_stage2((x + pow(x, -1, n)) % n, n, budget), None
 
 
 def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int) -> tuple[int, int]:
@@ -374,56 +377,53 @@ def _ladder(k: int, pt: tuple[int, int], a24: int, n: int) -> tuple[tuple[int, i
     return (x0, z0), (x1, z1)
 
 
-def _ecm(n: int, budget: list[int], start: tuple | None = None) -> tuple[int, tuple, tuple]:
-    """A proper divisor of odd composite n by Lenstra's elliptic curve method.
-
-    Curve sigma = 6, 7, ... is Suyama's Montgomery curve: with u = sigma**2
-    - 5 and v = 4*sigma, the point x = u**3/v**3 on the curve with (A + 2)/4
-    = (v - u)**3 * (3u + v) / (16 * u**3 * v), whose group order mod every
-    prime is 12 times a cofactor.  Each step of _ECM_STEPS runs its number
-    of curves, the last without end, so the method returns only on a split
-    and FACTOR_EFFORT alone bounds its work.  Stage 1 multiplies the point
-    by E = _prime_power_product(B1) with one ladder, so a prime P of n
-    divides Z when the point's order mod P divides E.  Stage 2
-    (_ecm_stage2) then catches the P where it divides E times one prime in
-    (B1, B2].  A curve whose gcd is n is passed over.  start = (sigma,
-    curve) begins at curve sigma (default 6): at its set-up, or at stage 1's
-    gcd from curve = (its stage-1 point, (A + 2)/4) mod a multiple of n.
-    """
-    first, curve = start or (6, None)
-    end = 6  # the first curve after the steps so far
+def _ecm_curves() -> Iterator[tuple[int, int, range]]:
+    """(sigma, E, ks) for curve sigma = 6, 7, ...: each step of _ECM_STEPS
+    gives its number of curves, the last without end, its stage-1 exponent
+    E = _prime_power_product(B1), built once, and its giant steps ks."""
+    first = 6
     for b1, b2, curves in _ECM_STEPS:
-        end += curves
-        if curves and first >= end:
-            continue  # no curve of this step runs
         e = _prime_power_product(b1)
         ks = range((b1 + _STAGE2_D // 2) // _STAGE2_D, (b2 + _STAGE2_D // 2) // _STAGE2_D + 1)
-        for sigma in range(first, end) if curves else count(first):
-            if not curve:
-                u, v = sigma * sigma - 5, 4 * sigma
-                x, z = u ** 3 % n, v ** 3 % n
-                d = 16 * x * v % n  # the denominator of (A + 2)/4
-                try:
-                    inv = pow(d * z, -1, n)  # one inverse for (A + 2)/4 and x/z
-                except ValueError:
-                    g = gcd(d * z, n)
-                    if g < n:
-                        return g, (sigma + 1, None), (sigma, None)
-                    continue
-                a24 = (v - u) ** 3 * (3 * u + v) * z % n * inv % n
-                pt = x * d % n * inv % n, 1
-                _charge(budget, _ECM_STAGE1_UNITS * e.bit_length(), "ECM stage 1", n)
-                curve = _ladder(e, pt, a24, n)[0], a24
-            (pt, a24), curve = curve, None
-            g = gcd(pt[1], n)
-            if 1 < g < n:
-                return g, (sigma + 1, None), (sigma, (pt, a24))
-            if g == 1:
-                _charge(budget, _ECM_STAGE2_UNITS * len(ks) * (len(_STAGE2_J) + 1), "ECM stage 2", n)
-                g = _ecm_stage2(pt, a24, n, ks)
-                if g != n and g != 1:
-                    return g, (sigma + 1, None), (sigma + 1, None)
-        first = end
+        for sigma in range(first, first + curves) if curves else count(first):
+            yield sigma, e, ks
+        first += curves
+
+
+def _ecm(n: int, budget: list[int], curves: Iterator[tuple[int, int, range]] | None = None) -> int:
+    """A proper divisor of odd composite n by Lenstra's elliptic curve method.
+
+    Curve sigma is Suyama's Montgomery curve: with u = sigma**2 - 5 and
+    v = 4*sigma, the point x = u**3/v**3 on the curve with (A + 2)/4
+    = (v - u)**3 * (3u + v) / (16 * u**3 * v), whose group order mod every
+    prime is 12 times a cofactor.  The curves come from curves (default: a
+    new _ecm_curves()) until one splits n, so FACTOR_EFFORT alone bounds the
+    work.  Stage 1 multiplies the point by E with one ladder, so a prime P
+    of n divides Z when the point's order mod P divides E.  Stage 2
+    (_ecm_stage2) then catches the P where it divides E times one prime in
+    (B1, B2].  A curve whose gcd is n is passed over.
+    """
+    for sigma, e, ks in _ecm_curves() if curves is None else curves:
+        u, v = sigma * sigma - 5, 4 * sigma
+        x, z = u ** 3 % n, v ** 3 % n
+        d = 16 * x * v % n  # the denominator of (A + 2)/4
+        try:
+            inv = pow(d * z, -1, n)  # one inverse for (A + 2)/4 and x/z
+        except ValueError:
+            g = gcd(d * z, n)
+            if g < n:
+                return g
+            continue
+        a24 = (v - u) ** 3 * (3 * u + v) * z % n * inv % n
+        pt = x * d % n * inv % n, 1
+        _charge(budget, _ECM_STAGE1_UNITS * e.bit_length(), "ECM stage 1", n)
+        pt = _ladder(e, pt, a24, n)[0]
+        g = gcd(pt[1], n)
+        if g == 1:
+            _charge(budget, _ECM_STAGE2_UNITS * len(ks) * (len(_STAGE2_J) + 1), "ECM stage 2", n)
+            g = _ecm_stage2(pt, a24, n, ks)
+        if 1 < g < n:
+            return g
 
 
 def _ecm_stage2(pt: tuple[int, int], a24: int, n: int, ks: range) -> int:
@@ -458,19 +458,16 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
     One gcd with the product of the primes below TRIAL_BOUND names the
     small primes, which are divided out.  A composite piece left that is a
     square r*r is pushed once as r with twice its multiplicity; any other
-    splits by the first of two methods that splits it: Pollard p-1
-    (_pollard_pm1), which finds the primes P with smooth P - 1, and
-    Lenstra's elliptic curve method (_ecm), which finds the P for which one
-    of its curves has a smooth group order.  Each takes a state to resume
-    from (None: its start) and returns (g, state for g, state for n // g),
-    None meaning the next method; while nothing splits, n goes on at g's
-    state.  A stage that splits nothing of n splits nothing of its
-    divisors, so g starts at the next method or curve and n // g at the
-    stage after the one that split n (where n did, if it shares a prime
-    with g); a square's root starts where the square did.  So each split is
-    the one that starting at p-1 would make.  Stages draw on one budget of
-    FACTOR_EFFORT units, charged before they run; one that would overdraw
-    it raises ResourceError, naming the stage and the effort spent.
+    splits by Pollard p-1 (_pollard_pm1), which finds the primes P with
+    smooth P - 1, or else by Lenstra's elliptic curve method (_ecm), which
+    finds the P for which one of its curves has a smooth group order.  p-1
+    runs on the first such piece, and again, from its stage-1 value, on the
+    cofactor of each split at its stage 1, where the same gcd also catches
+    a prime shared with the divisor (as P**2 * Q can hold).  Every other
+    piece goes to ECM, whose curves are one sequence per call: no curve
+    runs twice.  Stages draw on one budget of FACTOR_EFFORT units, charged
+    before they run; one that would overdraw it raises ResourceError,
+    naming the stage and the effort spent.
 
     stop, when given, is called just before each split, so never for a
     prime m or one with no prime factor above TRIAL_BOUND.  It gets the
@@ -493,10 +490,12 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
                 counts[p] = counts.get(p, 0) + 1
                 rem //= p
     budget = [FACTOR_EFFORT]
+    curves = _ecm_curves()
+    pm1 = True  # p-1 has yet to run from its start
     found = list(counts)  # the proper divisors found and not yet handed to stop
-    stack = [(rem, 1, (0, None))] if rem > 1 else []  # (piece, multiplicity, start)
+    stack = [(rem, 1, None)] if rem > 1 else []  # (piece, multiplicity, p-1's stage-1 value)
     while stack:
-        n, e, start = stack.pop()
+        n, e, x = stack.pop()
         if n < m:
             found.append(n)
         if is_prime(n):
@@ -508,16 +507,14 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
             found = []
         g = isqrt(n)
         if g * g == n:
-            stack.append((g, 2 * e, start))
+            stack.append((g, 2 * e, x))
             continue
-        k, state = start  # the method to begin with and the state within it
-        while True:
-            g, *resume = (_pollard_pm1, _ecm)[k](n, budget, state)
-            (k, state), n_start = [(k, s) if s is not None else (k + 1, None) for s in resume]
-            if 1 < g < n:
-                break
-        stack.append((g, e, (k, state)))
-        stack.append((n // g, e, n_start if gcd(g, n // g) == 1 else start))
+        g, x = _pollard_pm1(n, budget, x) if pm1 or x is not None else (1, None)
+        pm1 = False
+        if not 1 < g < n:
+            g, x = _ecm(n, budget, curves), None
+        stack.append((g, e, None))
+        stack.append((n // g, e, x))
     # tuple.__new__ skips Factorization's checks: each prime was tested above
     return tuple.__new__(Factorization, (m, tuple(sorted(counts.items()))))
 

@@ -13,7 +13,7 @@ import tracemalloc
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from lenshf import numtheory
@@ -650,44 +650,42 @@ def _record_stages(monkeypatch):
     return stages
 
 
-def test_factor_resumes_each_piece_where_its_parent_split_stopped(monkeypatch):
+def test_factor_runs_the_cofactor_of_an_ecm_split_on_the_next_curve(monkeypatch):
     # p-1 stage 1 takes m whole, and ECM's first curve splits off 10037 at
-    # stage 1.  The cofactor 10009*10061 resumes that curve at stage 2,
-    # which splits nothing, and the next curve splits it at stage 1; no p-1
-    # stage and no curve's stage 1 runs on it again
+    # stage 1.  The cofactor 10009*10061 goes on at the next curve, which
+    # splits it at stage 1; no p-1 stage and no curve runs on it again
     stages = _record_stages(monkeypatch)
     m, n = 10009 * 10037 * 10061, 10009 * 10061
     assert factor(m).factors == ((10009, 1), (10037, 1), (10061, 1))
-    assert stages == [("Pollard p-1 stage 1", m), ("ECM stage 1", m), ("ECM stage 2", n),
-                      ("ECM stage 1", n)]
+    assert stages == [("Pollard p-1 stage 1", m), ("ECM stage 1", m), ("ECM stage 1", n)]
 
 
-def test_factor_restarts_a_cofactor_that_shares_a_prime_with_the_divisor(monkeypatch):
-    # p-1 stage 2 splits off g = 61781 from m = 47837² * 61781² * 126592283,
-    # so the cofactor holds 61781 too: that stage may split it again, and
-    # does, so the cofactor starts over at p-1 as m did.  Likewise ECM stage 2
-    # splits off 47837 from 47837² * 126592283, and the cofactor starts over
-    # at the first curve's stage 1
+def test_factor_sends_the_cofactor_of_a_pm1_stage_2_split_to_ecm(monkeypatch):
+    # p-1 stage 2 splits off g = 61781 from m = 47837² * 61781² * 126592283.
+    # Only a stage-1 split hands p-1's value on, so the cofactor, though it
+    # holds 61781 too, goes to ECM, whose first curve splits 61781 off at
+    # stage 1.  Each later piece takes the next curve: 47837 splits off
+    # 47837² * 126592283 at stage 2 and 47837 * 126592283 at stage 1
     stages = _record_stages(monkeypatch)
     P, Q, R = 47837, 61781, 126592283
     m = P**2 * Q**2 * R
     assert factor(m).factors == ((P, 2), (Q, 2), (R, 1))
     assert stages == [("Pollard p-1 stage 1", m), ("Pollard p-1 stage 2", m),
-                      ("Pollard p-1 stage 1", m // Q), ("Pollard p-1 stage 2", m // Q),
-                      ("ECM stage 1", m // Q**2), ("ECM stage 2", m // Q**2),
-                      ("ECM stage 1", P * R), ("ECM stage 2", P * R)]
+                      ("ECM stage 1", m // Q), ("ECM stage 1", m // Q**2),
+                      ("ECM stage 2", m // Q**2), ("ECM stage 1", P * R)]
 
 
 def test_factor_splits_three_50_bit_primes_within_factor_effort():
-    # when every piece started again at p-1 and ECM's first curve, ECM stage 2
-    # on the cofactor of the first split ran out of FACTOR_EFFORT after
-    # 3,965,620 units
+    # the cofactor of the first split takes up ECM's curves after the one
+    # that split m, and factor charges 3,378,153 units; when every piece
+    # started again at p-1 and ECM's first curve, ECM stage 2 on that
+    # cofactor ran out of FACTOR_EFFORT after 3,965,620 units
     P, Q, R = 753323672289581, 910811105625977, 969464677542917
     assert factor(P * Q * R).factors == ((P, 1), (Q, 1), (R, 1))
 
 
 # Four distinct primes of 14-30 bits: a split can leave two composite pieces,
-# each resuming where it stopped.
+# each split in turn on the curves after those already tried.
 @seed(20261021)
 @settings(max_examples=25, deadline=None, database=None)
 @given(st.lists(_start_of_bits(14, 30), min_size=4, max_size=4))
@@ -700,6 +698,31 @@ def test_factor_agrees_with_sympy_on_products_of_four_14_to_30_bit_primes(starts
     assert dict(expected) == sympy.factorint(m)
     assert factor(m).factors == expected
     assert factor(m, stop=lambda divisors: False).factors == expected
+
+
+# Within one factor call p-1 stage 1 runs at most once and ECM tries each
+# curve at most once, in order: on the four-prime products drawn as above,
+# and on 47837² * 61781² * 126592283, the primes just above the starts given.
+@seed(20261021)
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.lists(_start_of_bits(14, 30), min_size=4, max_size=4))
+@example([47836, 47836, 61780, 61780, 126592282])
+def test_factor_runs_pm1_stage_1_once_and_each_curve_once(starts):
+    sympy = pytest.importorskip("sympy")
+    m = prod(sympy.nextprime(x) for x in starts)
+    sigmas, curves = [], numtheory._ecm_curves
+
+    def record_curves():
+        for curve in curves():
+            sigmas.append(curve[0])
+            yield curve
+
+    with pytest.MonkeyPatch.context() as mp:
+        stages = _record_stages(mp)
+        mp.setattr(numtheory, "_ecm_curves", record_curves)
+        assert dict(factor(m).factors) == sympy.factorint(m)
+    assert [stage for stage, _ in stages].count("Pollard p-1 stage 1") <= 1
+    assert sigmas == sorted(set(sigmas))
 
 
 # --- factor's stop callback ---------------------------------------------------
@@ -736,6 +759,12 @@ def test_factor_calls_stop_just_before_each_split():
     m = 10009 * 10037 * 10061
     assert factor(m, stop=stop).factors == ((10009, 1), (10037, 1), (10061, 1))
     assert seen == [[], [10009 * 10061]]
+    # a prime power above TRIAL_BOUND is split, by isqrt or by a method:
+    # 10007² once, and 10007³ twice, p-1 leaving 10007² for isqrt
+    for e, calls in ((2, [[]]), (3, [[], [10007**2]])):
+        seen.clear()
+        assert factor(10007**e, stop=stop).factors == ((10007, e),)
+        assert seen == calls
 
 
 def test_factor_returns_none_when_stop_fires_before_any_split(monkeypatch, count_calls):
