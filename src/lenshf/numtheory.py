@@ -1,9 +1,9 @@
 """Exact integer kernel: modular inverses, Jacobi symbols, primality,
-modular square roots and factoring (trial gcd, then Pollard p-1 on the
-first composite piece and, from its stage-1 value, on the cofactor of each
-stage-1 split, and Lenstra's elliptic curve method on the rest, its curves
-one sequence per call; p-1's Lucas stage 2 and ECM's walk the same
-k*D ± j grid, on integers and on curve points).
+modular square roots and factoring (trial gcd, then Pollard p-1, whose
+one stage-1 value per call serves every piece, and Lenstra's elliptic
+curve method on what it leaves whole, its curves one sequence per call;
+p-1's Lucas stage 2 and ECM's walk the same k*D ± j grid, on integers and
+on curve points).
 
 Everything operates on plain Python integers (arbitrary precision) and no
 floating point is used anywhere.  All functions are pure and safe to call
@@ -329,24 +329,6 @@ def _lucas_stage2(w: int, n: int, budget: list[int]) -> int:
     return gcd(acc, n)
 
 
-def _pollard_pm1(n: int, budget: list[int], x: int | None = None) -> tuple[int, int | None]:
-    """(g, x for n // g or None): g a divisor of odd n by Pollard p-1, 1 or n
-    when it splits nothing.
-
-    Stage 1 takes gcd(x - 1, n), x = 2**E mod n unless the x of a multiple
-    of n is given; when that is 1, stage 2 runs on x + 1/x, so it finds P
-    when P - 1 divides E times a prime in (1000, TRIAL_BOUND).  A split at
-    stage 1 hands x on, so that n // g resumes at stage 1's gcd.
-    """
-    if x is None:
-        _charge(budget, _PM1_EXPONENT.bit_length(), "Pollard p-1 stage 1", n)
-        x = pow(2, _PM1_EXPONENT, n)
-    g = gcd(x - 1, n)
-    if g != 1:
-        return g, x
-    return _lucas_stage2((x + pow(x, -1, n)) % n, n, budget), None
-
-
 def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int) -> tuple[int, int]:
     """P + Q on a Montgomery curve, x-only ((X:Z), Y dropped), from diff = P - Q."""
     u = (p[0] - p[1]) * (q[0] + q[1]) % n
@@ -390,20 +372,20 @@ def _ecm_curves() -> Iterator[tuple[int, int, range]]:
         first += curves
 
 
-def _ecm(n: int, budget: list[int], curves: Iterator[tuple[int, int, range]] | None = None) -> int:
+def _ecm(n: int, budget: list[int], curves: Iterator[tuple[int, int, range]]) -> int:
     """A proper divisor of odd composite n by Lenstra's elliptic curve method.
 
     Curve sigma is Suyama's Montgomery curve: with u = sigma**2 - 5 and
     v = 4*sigma, the point x = u**3/v**3 on the curve with (A + 2)/4
     = (v - u)**3 * (3u + v) / (16 * u**3 * v), whose group order mod every
-    prime is 12 times a cofactor.  The curves come from curves (default: a
-    new _ecm_curves()) until one splits n, so FACTOR_EFFORT alone bounds the
-    work.  Stage 1 multiplies the point by E with one ladder, so a prime P
-    of n divides Z when the point's order mod P divides E.  Stage 2
+    prime is 12 times a cofactor.  The curves come from curves (an
+    _ecm_curves() sequence) until one splits n, so FACTOR_EFFORT alone
+    bounds the work.  Stage 1 multiplies the point by E with one ladder, so
+    a prime P of n divides Z when the point's order mod P divides E.  Stage 2
     (_ecm_stage2) then catches the P where it divides E times one prime in
     (B1, B2].  A curve whose gcd is n is passed over.
     """
-    for sigma, e, ks in _ecm_curves() if curves is None else curves:
+    for sigma, e, ks in curves:
         u, v = sigma * sigma - 5, 4 * sigma
         x, z = u ** 3 % n, v ** 3 % n
         d = 16 * x * v % n  # the denominator of (A + 2)/4
@@ -458,16 +440,19 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
     One gcd with the product of the primes below TRIAL_BOUND names the
     small primes, which are divided out.  A composite piece left that is a
     square r*r is pushed once as r with twice its multiplicity; any other
-    splits by Pollard p-1 (_pollard_pm1), which finds the primes P with
-    smooth P - 1, or else by Lenstra's elliptic curve method (_ecm), which
-    finds the P for which one of its curves has a smooth group order.  p-1
-    runs on the first such piece, and again, from its stage-1 value, on the
-    cofactor of each split at its stage 1, where the same gcd also catches
-    a prime shared with the divisor (as P**2 * Q can hold).  Every other
-    piece goes to ECM, whose curves are one sequence per call: no curve
-    runs twice.  Stages draw on one budget of FACTOR_EFFORT units, charged
-    before they run; one that would overdraw it raises ResourceError,
-    naming the stage and the effort spent.
+    splits by Pollard p-1, which finds the primes P with smooth P - 1, or
+    else by Lenstra's elliptic curve method (_ecm), which finds the P for
+    which one of its curves has a smooth group order.  p-1's stage 1 takes
+    x = 2**E mod the first such piece, once per call: every later piece
+    divides that one, so x is its stage-1 value too, and each piece n takes
+    g = gcd(x - 1, n), which also catches a prime shared with a divisor
+    split off before (as P**2 * Q can hold).  Stage 2 (_lucas_stage2) runs
+    once, on x + 1/x mod the first piece whose g is 1, so it finds P when
+    P - 1 divides E times a prime in (1000, TRIAL_BOUND).  A piece that p-1
+    leaves whole goes to ECM, whose curves are one sequence per call: no
+    curve runs twice.  Stages draw on one budget of FACTOR_EFFORT units,
+    charged before they run; one that would overdraw it raises
+    ResourceError, naming the stage and the effort spent.
 
     stop, when given, is called just before each split, so never for a
     prime m or one with no prime factor above TRIAL_BOUND.  It gets the
@@ -491,11 +476,12 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
                 rem //= p
     budget = [FACTOR_EFFORT]
     curves = _ecm_curves()
-    pm1 = True  # p-1 has yet to run from its start
+    x = None  # p-1's stage-1 value 2**E mod the first piece it runs on
+    stage2 = True  # p-1's stage 2 has yet to run
     found = list(counts)  # the proper divisors found and not yet handed to stop
-    stack = [(rem, 1, None)] if rem > 1 else []  # (piece, multiplicity, p-1's stage-1 value)
+    stack = [(rem, 1)] if rem > 1 else []  # (piece, multiplicity)
     while stack:
-        n, e, x = stack.pop()
+        n, e = stack.pop()
         if n < m:
             found.append(n)
         if is_prime(n):
@@ -507,14 +493,19 @@ def factor(m: int, *, stop: Callable[[list[int]], bool] | None = None) -> Factor
             found = []
         g = isqrt(n)
         if g * g == n:
-            stack.append((g, 2 * e, x))
+            stack.append((g, 2 * e))
             continue
-        g, x = _pollard_pm1(n, budget, x) if pm1 or x is not None else (1, None)
-        pm1 = False
+        if x is None:
+            _charge(budget, _PM1_EXPONENT.bit_length(), "Pollard p-1 stage 1", n)
+            x = pow(2, _PM1_EXPONENT, n)
+        g = gcd(x - 1, n)
+        if g == 1 and stage2:
+            stage2 = False
+            g = _lucas_stage2((x + pow(x, -1, n)) % n, n, budget)
         if not 1 < g < n:
-            g, x = _ecm(n, budget, curves), None
-        stack.append((g, e, None))
-        stack.append((n // g, e, x))
+            g = _ecm(n, budget, curves)
+        stack.append((g, e))
+        stack.append((n // g, e))
     # tuple.__new__ skips Factorization's checks: each prime was tested above
     return tuple.__new__(Factorization, (m, tuple(sorted(counts.items()))))
 

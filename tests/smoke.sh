@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end checks of an installed lenshf command: the golden hashes of
-# table 1000, three analyze inputs that only isqrt or ECM split, and a
-# certificate round trip through verify.  Run it after `pip install .`:
+# table 1000, three analyze inputs that only isqrt or ECM split, one on
+# which ECM runs out of FACTOR_EFFORT (exit 3, the full charge pinned), and
+# a certificate round trip through verify.  Run it after `pip install .`:
 #   bash tests/smoke.sh
 # It works in a new temporary directory, so the checkout's src/ is never
-# imported; about 15 s on a 2-vCPU host.
+# imported; about 17 s on a 2-vCPU host.
 set -e
 cd "$(mktemp -d)"
 
@@ -32,6 +33,13 @@ echo "== analyze a product of two 44-bit primes that ECM splits"
 out=$(timeout 10 lenshf analyze 264662410149531076417229041 5)
 echo "$out"
 echo "$out" | grep -q "3 boundary components"
+
+echo "== analyze (10^24 + 7)(10^24 + 49): ECM runs out of FACTOR_EFFORT after the full charge"
+rc=0; err=$(timeout 10 lenshf analyze 1000000000000000000000056000000000000000000000343 2 2>&1 >/dev/null) || rc=$?
+echo "$err"
+test "$rc" = 3
+echo "$err" | grep -q "exhausted in ECM stage 2"
+echo "$err" | grep -q "3970313 of FACTOR_EFFORT = 4000000 units spent"
 
 echo "== verify a certificate, its n = 5 padding (Bareiss) and a tampered copy"
 lenshf analyze 197 45 --json > c.json && lenshf verify c.json

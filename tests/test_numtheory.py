@@ -554,7 +554,7 @@ def test_ecm_stage_2_visits_every_prime_in_each_step(monkeypatch):
     monkeypatch.setattr(numtheory, "_ladder", lambda k, pt, a24, n: (pt, pt))
     monkeypatch.setattr(numtheory, "_ecm_stage2", stage2)
     with pytest.raises(ResourceError, match="^stop$"):
-        numtheory._ecm((10**24 + 7) * (10**24 + 49), [10**9])
+        numtheory._ecm((10**24 + 7) * (10**24 + 49), [10**9], numtheory._ecm_curves())
     for b1, b2, curves in steps:
         ks = seen[0]
         assert ks[0] >= 1  # _ladder needs k >= 1, so B1 >= D/2
@@ -623,19 +623,18 @@ def test_factor_agrees_with_sympy_on_semiprimes_that_ecm_splits(m):
     assert dict(factor(m).factors) == sympy.factorint(m)
 
 
-def test_factor_splits_a_square_piece_by_isqrt_alone(count_calls):
+def test_factor_splits_a_square_piece_by_isqrt_alone(count_calls, monkeypatch):
     # isqrt splits any P² at once, before either method, and
     # pushes P once with multiplicity 2, so is_prime certifies it once: two
     # calls per m, the square and then its root
-    calls = {}
-    for name in ("_pollard_pm1", "is_prime"):
-        count_calls(numtheory, name, calls)
+    calls = count_calls(numtheory, "is_prime")
+    stages = _record_stages(monkeypatch)
     P, M = 17104490322097, 2**521 - 1
     for m, expected in ((P**2, ((P, 2),)), (3 * P**2, ((3, 1), (P, 2))), (M**2, ((M, 2),))):
         calls["is_prime"] = 0
         assert factor(m).factors == expected
         assert calls["is_prime"] == 2, m
-    assert calls["_pollard_pm1"] == 0
+    assert not [stage for stage, _ in stages if stage.startswith("Pollard p-1")]
 
 
 def _record_stages(monkeypatch):
@@ -662,9 +661,10 @@ def test_factor_runs_the_cofactor_of_an_ecm_split_on_the_next_curve(monkeypatch)
 
 def test_factor_sends_the_cofactor_of_a_pm1_stage_2_split_to_ecm(monkeypatch):
     # p-1 stage 2 splits off g = 61781 from m = 47837² * 61781² * 126592283.
-    # Only a stage-1 split hands p-1's value on, so the cofactor, though it
-    # holds 61781 too, goes to ECM, whose first curve splits 61781 off at
-    # stage 1.  Each later piece takes the next curve: 47837 splits off
+    # p-1's stage 2 runs once per call, on the first piece whose stage-1 gcd
+    # is 1, so the cofactor, though it holds 61781 too, goes to ECM (its gcd
+    # is 1 as well), whose first curve splits 61781 off at stage 1.  Each
+    # later piece takes the next curve: 47837 splits off
     # 47837² * 126592283 at stage 2 and 47837 * 126592283 at stage 1
     stages = _record_stages(monkeypatch)
     P, Q, R = 47837, 61781, 126592283
@@ -700,7 +700,7 @@ def test_factor_agrees_with_sympy_on_products_of_four_14_to_30_bit_primes(starts
     assert factor(m, stop=lambda divisors: False).factors == expected
 
 
-# Within one factor call p-1 stage 1 runs at most once and ECM tries each
+# Within one factor call each p-1 stage runs at most once and ECM tries each
 # curve at most once, in order: on the four-prime products drawn as above,
 # and on 47837² * 61781² * 126592283, the primes just above the starts given.
 @seed(20261021)
@@ -722,6 +722,7 @@ def test_factor_runs_pm1_stage_1_once_and_each_curve_once(starts):
         mp.setattr(numtheory, "_ecm_curves", record_curves)
         assert dict(factor(m).factors) == sympy.factorint(m)
     assert [stage for stage, _ in stages].count("Pollard p-1 stage 1") <= 1
+    assert [stage for stage, _ in stages].count("Pollard p-1 stage 2") <= 1
     assert sigmas == sorted(set(sigmas))
 
 
