@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
+from lenshf import numtheory
 from lenshf.errors import DomainError, IntegrityError
 from lenshf.lens import LensSpace
 from lenshf.quadform import QuadForm
@@ -124,3 +125,35 @@ def brute_form_represents(f: QuadForm, n: int, bound: int) -> tuple[int, int] | 
             if gcd(x, y) == 1 and f.evaluate(x, y) == n:
                 return x, y
     return None
+
+
+def projective_ecm_stage2(pt: tuple[int, int], a24: int, n: int, ks: range) -> tuple[int, int]:
+    """ECM stage 2 on projective points, as lenshf computed it up to 0.17.0.
+
+    Returns gcd(n, product of X_kD*Z_j - X_j*Z_kD over k in ks, j in
+    numtheory._STAGE2_J) and gcd(n, product of every Z_j and Z_kD), for the
+    baby steps (X_j:Z_j) = j*Q and the giant steps (X_kD:Z_kD) = k*D*Q,
+    Q = pt.  When the second is 1, each term is Z_kD*Z_j, a unit, times
+    x_kD - x_j, so the affine product has the same gcd as the first.
+    """
+    D, J = numtheory._STAGE2_D, numtheory._STAGE2_J
+    baby = []
+    prev = cur = pt
+    q2 = numtheory._ladder(1, pt, a24, n)[1]
+    for j in range(1, D // 2, 2):
+        if j in J:
+            baby.append(cur)
+        prev, cur = cur, numtheory._xadd(cur, q2, prev, n)
+    dq = numtheory._ladder(D, pt, a24, n)[0]
+    g, h = numtheory._ladder(ks[0], dq, a24, n)
+    acc = 1
+    zs = 1
+    for bx, bz in baby:
+        zs = zs * bz % n
+    for _ in ks:
+        gx, gz = g
+        zs = zs * gz % n
+        for bx, bz in baby:
+            acc = acc * (gx * bz - bx * gz) % n
+        g, h = h, numtheory._xadd(h, dq, g, n)
+    return gcd(acc, n), gcd(zs, n)

@@ -10,6 +10,7 @@ import random
 import re
 import time
 import tracemalloc
+from itertools import accumulate, islice
 from math import gcd, lcm, prod
 
 import pytest
@@ -27,7 +28,7 @@ from lenshf.numtheory import (
     sqrt_mod,
     sqrt_mod_prime,
 )
-from oracle import brute_least_roots, brute_primes_below
+from oracle import brute_least_roots, brute_primes_below, projective_ecm_stage2
 
 
 # --- mod_inv ----------------------------------------------------------------
@@ -564,6 +565,70 @@ def test_ecm_stage_2_visits_every_prime_in_each_step(monkeypatch):
         visited = {k * D + s * j for k in ks for j in J for s in (1, -1)}
         assert visited.issuperset(sympy.primerange(b1 + 1, b2 + 1)), (b1, b2)
     assert seen == []
+
+
+def _stage2_args(n, curve):
+    """The (pt, a24, n, ks) that _ecm hands stage 2 on one curve of
+    _ecm_curves(), or None when its stage 1 already names a factor."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numtheory, "_ecm_stage2", lambda *args: seen.append(args) or 1)
+        numtheory._ecm(n, [10**9], iter([curve]))
+    return seen[0] if seen else None
+
+
+def test_ecm_stage_2_matches_the_projective_product_when_every_z_is_a_unit():
+    # on affine x each term is the projective one divided by Z_kD*Z_j, so the
+    # gcds agree whenever no Z shares a prime with n; the first three curves
+    # of each of the first four steps, on seeded semiprimes of 40-512 bits
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(34)
+    starts = [0, *accumulate(curves for _, _, curves in numtheory._ECM_STEPS[:3])]
+    curves = list(islice(numtheory._ecm_curves(), starts[-1] + 3))
+    compared, splits = 0, 0
+    for bits in (40, 48, 56, 64, 72, 96, 160, 256, 512):
+        n = prod(sympy.nextprime(rng.getrandbits(bits // 2) | 1 << (bits // 2 - 1)) for _ in range(2))
+        for curve in (curves[i] for s in starts for i in range(s, s + 3)):
+            args = _stage2_args(n, curve)
+            if args is None:
+                continue
+            g, z = projective_ecm_stage2(*args)
+            if z == 1:
+                assert numtheory._ecm_stage2(*args) == g, (n, curve[0])
+                compared += 1
+                splits += 1 < g < n
+    assert compared >= 80 and splits >= 5, (compared, splits)  # 89 and 7
+
+
+def test_ecm_stage_2_splits_where_a_giant_step_is_the_point_at_infinity():
+    # found by a search over small P*R: on curve sigma = 6 (B1 = 120, giant
+    # steps 1..29) the baby steps of 12149 * 13151 are units but a giant
+    # step's Z is 0 mod 12149; the projective product is 0 mod both primes,
+    # so it named n and the curve was passed over, where the giants' product
+    # of Zs names 12149
+    n = 12149 * 13151
+    args = _stage2_args(n, next(numtheory._ecm_curves()))
+    assert projective_ecm_stage2(*args) == (n, 12149)
+    assert numtheory._ecm_stage2(*args) == 12149
+
+
+def test_ecm_stage_2_memory_does_not_grow_with_b2():
+    # the giant steps are brought to affine x in blocks of _STAGE2_BLOCK: on
+    # the last step's grid at 512 bits, normalizing all 4715 at once peaked
+    # at about 2 MB
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(35)
+    ks = next(islice(numtheory._ecm_curves(), sum(c for _, _, c in numtheory._ECM_STEPS), None))[2]
+    assert ks == range(48, 4763)
+    n = sympy.nextprime(1 << 255 | rng.getrandbits(255)) * sympy.nextprime(1 << 255 | rng.getrandbits(255))
+    pt, a24 = (rng.randrange(n), 1), rng.randrange(n)
+    tracemalloc.start()
+    try:
+        assert numtheory._ecm_stage2(pt, a24, n, ks) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def _start_of_bits(lo, hi):
