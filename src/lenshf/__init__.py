@@ -42,7 +42,7 @@ from .witness import (
     verify,
 )
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 __all__ = [
     "BezoutPair",

@@ -331,10 +331,13 @@ def _lucas_stage2(w: int, n: int, budget: list[int]) -> int:
 
 
 def _stage2_terms(acc: int, giants: list[int], baby: list[int], n: int) -> int:
-    """acc times the product of g - b over g in giants, b in baby, mod n."""
+    """acc times the product of g - b over g in giants, b in baby, mod n,
+    reduced once per two terms: baby is taken in pairs, so its length must
+    be even (_STAGE2_J has 24), and zip's strict raises on an odd one."""
+    pairs = list(zip(baby[::2], baby[1::2], strict=True))
     for g in giants:
-        for b in baby:
-            acc = acc * (g - b) % n
+        for b1, b2 in pairs:
+            acc = acc * (g - b1) * (g - b2) % n
     return acc
 
 

@@ -278,9 +278,38 @@ def certificate_from_dict(data: dict) -> Certificate:
 
 
 def certificate_to_json(cert: Certificate, include_trace: bool = True) -> str:
-    import json  # imported on use, so that `import lenshf.cli` skips it
+    """json.dumps(certificate_to_dict(cert, include_trace), indent=2), written
+    directly: any indent sends json to its pure-Python encoder, which takes
+    three to four times as long.
 
-    return json.dumps(certificate_to_dict(cert, include_trace), indent=2)
+    The bytes are identical for every certificate whose fields have their
+    documented types (integers, a bool valid, a str branch), which covers
+    everything the solver, verify and certificate_from_json produce: an
+    integer's str() needs no escaping, and the branch is escaped by
+    json.dumps.  A hand-built Certificate holding something else where an
+    integer belongs gets that value's str() between quotes unescaped, which
+    is json's output only when that str() is printable ASCII without '"'
+    or '\\'; otherwise the text may not be valid JSON.  A valid that is not
+    a bool is written as its truth value, where json would write its value.
+    """
+
+    def strings(values: list[int], indent: str) -> str:
+        return "[\n" + ",\n".join([f'{indent}  "{v}"' for v in values]) + f"\n{indent}]"
+
+    w = cert.witness
+    rows = ",\n".join([f"    {strings(row, '    ')}" for row in w.l])
+    text = (
+        f'{{\n  "p": "{cert.lens.p}",\n  "q": "{cert.lens.q}",\n  "n": "{w.n}",\n'
+        f'  "a": {strings(w.a, "  ")},\n  "t": {strings(w.t, "  ")},\n  "l": [\n{rows}\n  ],\n'
+        f'  "det": "{cert.det}",\n  "valid": {"true" if cert.valid else "false"}'
+    )
+    trace = cert.trace
+    if include_trace and trace is not None:
+        import json  # imported on use, so that `import lenshf.cli` skips it
+
+        fields = "".join([f',\n    "{name}": "{getattr(trace, name)}"' for name in _TRACE_INT_FIELDS])
+        text += f',\n  "trace": {{\n    "branch": {json.dumps(trace.branch)}{fields}\n  }}'
+    return text + "\n}"
 
 
 def certificate_from_json(text: str) -> Certificate:

@@ -157,3 +157,12 @@ def projective_ecm_stage2(pt: tuple[int, int], a24: int, n: int, ks: range) -> t
             acc = acc * (gx * bz - bx * gz) % n
         g, h = h, numtheory._xadd(h, dq, g, n)
     return gcd(acc, n), gcd(zs, n)
+
+
+def stage2_terms(acc: int, giants: list[int], baby: list[int], n: int) -> int:
+    """acc times the product of g - b over g in giants, b in baby, mod n,
+    reduced after every term, as lenshf computed it up to 0.18.0."""
+    for g in giants:
+        for b in baby:
+            acc = acc * (g - b) % n
+    return acc

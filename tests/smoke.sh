@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end checks of an installed lenshf command: the golden hashes of
 # table 1000, three analyze inputs that only isqrt or ECM split, one on
-# which ECM runs out of FACTOR_EFFORT (exit 3, the full charge pinned), and
-# a certificate round trip through verify.  Run it after `pip install .`:
+# which ECM runs out of FACTOR_EFFORT (exit 3, the full charge pinned), the
+# bytes of analyze --json against json.dumps, and a certificate round trip
+# through verify.  Run it after `pip install .`:
 #   bash tests/smoke.sh
 # It works in a new temporary directory, so the checkout's src/ is never
 # imported; 11-14 s on a 2-vCPU host under Python 3.10-3.13.
@@ -40,6 +41,17 @@ echo "$err"
 test "$rc" = 3
 echo "$err" | grep -q "exhausted in ECM stage 2"
 echo "$err" | grep -q "3970313 of FACTOR_EFFORT = 4000000 units spent"
+
+echo "== analyze --json writes json.dumps(certificate_to_dict(...), indent=2) byte for byte"
+for trace in "" --trace; do
+  lenshf analyze 197 45 --json $trace > direct.json
+  python -c 'import json, sys
+from lenshf import LensSpace, certificate_to_dict, minimal_planar_boundaries
+cert = minimal_planar_boundaries(LensSpace(197, 45))[1]
+print(json.dumps(certificate_to_dict(cert, include_trace=sys.argv[1] == "--trace"), indent=2))' "$trace" > dumped.json
+  cmp direct.json dumped.json
+done
+grep -q '"trace"' direct.json  # L(197, 45) has count 3, so --trace writes one
 
 echo "== verify a certificate, its n = 5 padding (Bareiss) and a tampered copy"
 lenshf analyze 197 45 --json > c.json && lenshf verify c.json

@@ -28,7 +28,7 @@ from lenshf.numtheory import (
     sqrt_mod,
     sqrt_mod_prime,
 )
-from oracle import brute_least_roots, brute_primes_below, projective_ecm_stage2
+from oracle import brute_least_roots, brute_primes_below, projective_ecm_stage2, stage2_terms
 
 
 # --- mod_inv ----------------------------------------------------------------
@@ -630,6 +630,28 @@ def test_ecm_stage_2_memory_does_not_grow_with_b2():
         tracemalloc.stop()
     assert peak < 500_000
 
+
+
+def test_stage_2_terms_reduced_in_pairs_equal_one_reduction_per_term():
+    # _stage2_terms reduces mod n once per two baby steps; the product is the
+    # same residue as reducing after every term, also when a term vanishes
+    # mod a factor f of n (giants[1] - baby[-1] is made a multiple of f)
+    rng = random.Random(3502)
+    for bits in (32, 48, 64, 96, 160, 256, 512):
+        for _ in range(4):
+            f = rng.getrandbits(bits // 2) | 1 << (bits // 2 - 1) | 1
+            n = f * (rng.getrandbits(bits - bits // 2) | 1 << (bits - bits // 2 - 1) | 1)
+            for size in (2, len(numtheory._STAGE2_J)):
+                baby = [rng.randrange(n) for _ in range(size)]
+                giants = [rng.randrange(n) for _ in range(rng.randint(1, 70))]
+                acc = rng.randrange(n)
+                assert numtheory._stage2_terms(acc, giants, baby, n) == stage2_terms(acc, giants, baby, n)
+                giants[1:2] = [(baby[-1] + f * rng.randrange(n)) % n]
+                vanishing = numtheory._stage2_terms(acc, giants, baby, n)
+                assert vanishing == stage2_terms(acc, giants, baby, n)
+                assert vanishing % f == 0
+    with pytest.raises(ValueError):  # an unpaired baby step is refused, not dropped
+        numtheory._stage2_terms(1, [5], [1, 2, 3], 7)
 
 def _start_of_bits(lo, hi):
     return st.integers(lo, hi).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))

@@ -6,8 +6,11 @@ import json
 import random
 import re
 from itertools import permutations, product
+from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, seed, settings
+from hypothesis import strategies as st
 
 from lenshf.errors import DomainError
 from lenshf.lens import LensSpace
@@ -386,3 +389,66 @@ def test_round_trip_random_witnesses():
         cert = verify(lens, w)
         back = certificate_from_json(certificate_to_json(cert))
         assert back == Certificate(lens, w, cert.det, cert.valid)
+
+
+# The widest integer certificate_from_json reads: int() and str() refuse more
+# than 4300 digits by default.
+_WIDEST = 10**4300 - 1
+_TRICKY_BRANCH = 'q"b\\r\x00\x1f\n\x7f é\u2028\U0001f600'  # quote, backslash, controls, non-ASCII, astral
+
+
+def _solver_certificate(p, q, n):
+    """The solver's certificate for L(p, q), padded up to n, trace kept."""
+    _, cert = minimal_planar_boundaries(LensSpace(p, q))
+    w = cert.witness
+    while w.n < n:
+        w = pad(w)
+    return verify(cert.lens, w)._replace(trace=cert.trace)
+
+
+@st.composite
+def _certificates(draw):
+    """A solver certificate (count 2 or 3) padded up to n = 5, or one read by
+    certificate_from_json: integers of either sign up to 4300 digits, valid
+    either way, and a branch of any text."""
+    if draw(st.booleans()):
+        p = draw(st.integers(2, 10**12))
+        q = draw(st.integers(1, p - 1))
+        assume(gcd(p, q) == 1)
+        return _solver_certificate(p, q, draw(st.integers(1, 5)))
+    # 4300-digit integers from a drawn seed: st.integers would take their
+    # bits from hypothesis's buffer, which a few of them overrun, and such
+    # an example is dropped
+    widest = st.integers(0, 2**32).map(lambda s: random.Random(s).randrange(10**4299, _WIDEST + 1))
+    ints = st.one_of(st.integers(-10**6, 10**6), widest, widest.map(int.__neg__))
+    p = draw(st.one_of(st.integers(2, 10**6), widest))
+    q = draw(st.integers(1, p - 1))
+    assume(gcd(p, q) == 1)
+    n = draw(st.integers(1, 5))
+    l = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            l[i][j] = l[j][i] = draw(ints)
+    doc = {
+        "p": str(p), "q": str(q), "n": str(n),
+        "a": [str(draw(ints)) for _ in range(n)],
+        "t": [str(draw(ints)) for _ in range(n)],
+        "l": [[str(v) for v in row] for row in l],
+        "det": str(draw(ints)),
+        "valid": draw(st.booleans()),
+    }
+    if draw(st.booleans()):
+        doc["trace"] = {name: str(draw(ints)) for name in TRACE_FIELDS}
+        doc["trace"]["branch"] = draw(st.one_of(st.just(_TRICKY_BRANCH), st.text()))
+    return certificate_from_json(json.dumps(doc))
+
+
+@seed(20261022)
+@settings(max_examples=100, deadline=None, database=None)
+@given(_certificates())
+@example(_solver_certificate(197, 45, 5))  # count 3, with its trace
+@example(_solver_certificate(11, 2, 5))  # count 2
+def test_certificate_to_json_writes_the_bytes_of_json_dumps_indent_2(cert):
+    for include_trace in (True, False):
+        expected = json.dumps(certificate_to_dict(cert, include_trace), indent=2)
+        assert certificate_to_json(cert, include_trace) == expected
